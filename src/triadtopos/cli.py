@@ -8,7 +8,7 @@ import json
 import sys
 
 from . import duality, enumeration, monoid, permgroup, topos, zmod
-from .duality import plr_group, plr_named, plr_subgroup, sub_dual, ti_group
+from .duality import in_label_order, plr_group, sub_dual, ti_group
 from .monoid import conjugated_action, natural_action, triadic_monoid
 from .permgroup import SearchBoundExceeded
 from .zmod import chord, format_pcset, parse_pcset, parse_ti
@@ -27,46 +27,22 @@ TOPOLOGY_FLAGS = {
 }
 
 
-class UsageError(ValueError):
-    pass
-
-
-def _label_sort_key(label: str):
-    """Sort T/I labels T0..T11 then I0..I11; PLR labels Id, Qk, P, PQk."""
-    order = {"T": 0, "I": 1, "Id": 0, "Q": 0, "P": 1}
-    if label == "Id":
-        return (0, 0)
-    if label == "P":
-        return (1, 0)
-    if label.startswith("PQ"):
-        return (1, int(label[2:]))
-    return (order[label[0]], int(label[1:]))
-
-
 def _sorted_labels(group: permgroup.PermGroup) -> list[str]:
-    return sorted((p.label for p in group.elements), key=_label_sort_key)
+    return [p.label for p in in_label_order(group)]
 
 
 def _group_lines(group: permgroup.PermGroup) -> list[str]:
-    by_label = {p.label: p for p in group.elements}
-    width = max(len(l) for l in by_label)
+    width = max(len(p.label) for p in group.elements)
     return [
-        f"  {label.ljust(width)}  {by_label[label].cycle_notation()}"
-        for label in _sorted_labels(group)
+        f"  {p.label.ljust(width)}  {p.cycle_notation()}" for p in in_label_order(group)
     ]
 
 
-def _perm_json(p: permgroup.Permutation) -> dict:
-    return {
-        "label": p.label,
-        "cycles": p.cycle_notation(),
-        "images": list(p.images),
-    }
-
-
 def _group_json(group: permgroup.PermGroup) -> list[dict]:
-    by_label = {p.label: p for p in group.elements}
-    return [_perm_json(by_label[l]) for l in _sorted_labels(group)]
+    return [
+        {"label": p.label, "cycles": p.cycle_notation(), "images": list(p.images)}
+        for p in in_label_order(group)
+    ]
 
 
 def _emit(args, text_fn, payload) -> None:
@@ -191,16 +167,6 @@ def cmd_upgrade(args) -> int:
     return EXIT_OK
 
 
-def _named_subgroup(name: str) -> permgroup.PermGroup:
-    if name == "PL":
-        return plr_subgroup("P", "L")
-    if name == "PR":
-        return plr_subgroup("P", "R")
-    if name == "PLR":
-        return plr_group()
-    raise UsageError(f"unknown group {name!r}")
-
-
 def _system_json(sys_: duality.SubDualSystem) -> dict:
     return {
         "seed": str(sys_.s0),
@@ -212,7 +178,7 @@ def _system_json(sys_: duality.SubDualSystem) -> dict:
 
 
 def cmd_dual(args) -> int:
-    g0 = _named_subgroup(args.group)
+    g0 = duality.plr_subgroup_named(args.group)
     seed = chord(args.seed)
     system = sub_dual(plr_group(), ti_group(), g0, seed)
     payload = _system_json(system)
@@ -235,7 +201,7 @@ def cmd_dual(args) -> int:
 
 
 def cmd_systems(args) -> int:
-    g0 = _named_subgroup(args.group)
+    g0 = duality.plr_subgroup_named(args.group)
     systems = duality.all_orbits(plr_group(), ti_group(), g0)
     payload = [_system_json(s) for s in systems]
 
@@ -300,7 +266,7 @@ def cmd_audit(args) -> int:
     payload = {
         "case1": [
             {
-                "subgroup": f"<P,Q{l.generator_index}>" if l.generator_index else "<P>",
+                "subgroup": l.name,
                 "elements": _sorted_labels(l.subgroup),
                 "c_orbit": [str(c) for c in l.c_orbit],
                 "pitch_union": sorted(l.pitch_union),
@@ -320,9 +286,8 @@ def cmd_audit(args) -> int:
     def text():
         lines = ["Case 1 (subgroups containing P):"]
         for l in audit.case1:
-            name = f"<P,Q{l.generator_index}>" if l.generator_index else "<P>"
             lines.append(
-                f"  {name.ljust(7)} orbit {{{','.join(str(c) for c in l.c_orbit)}}}"
+                f"  {l.name.ljust(7)} orbit {{{','.join(str(c) for c in l.c_orbit)}}}"
             )
             lines.append(
                 f"          pitch union {format_pcset(l.pitch_union)}"
@@ -350,12 +315,20 @@ def cmd_verify(args) -> int:
     else:
         rows = json.load(sys.stdin)
     act = natural_action()
-    plr = plr_group()
-    by_label = {p.label: p for p in plr.elements}
     failures = []
-    for row in rows:
-        carrier = zmod.pcset(row["carrier"])
-        tag = row.get("name", format_pcset(carrier))
+    for i, row in enumerate(rows):
+        tag = f"row {i} ({row.get('name')})"
+        stated = row["carrier"]
+        in_range = isinstance(stated, list) and all(
+            type(z) is int and 0 <= z < zmod.MOD for z in stated
+        )
+        if not (in_range and stated == sorted(set(stated))):
+            failures.append(f"{tag}: carrier {stated} is not sorted distinct pitch classes")
+            continue
+        carrier = frozenset(stated)
+        name = enumeration.CARRIER_NAMES.get(carrier)
+        if row.get("name") != name:
+            failures.append(f"{tag}: stated name is not {name!r}")
         if not monoid.is_closed(carrier, act):
             failures.append(f"{tag}: carrier not closed under the monoid")
         cover, covered = zmod.maximal_cover(carrier)
@@ -364,15 +337,18 @@ def cmd_verify(args) -> int:
         if sorted(str(c) for c in cover) != sorted(row["cover"]):
             failures.append(f"{tag}: stated cover is not the maximal cover")
         try:
-            elems = frozenset(by_label[l] for l in row["subgroup_elements"])
+            elems = frozenset(duality.plr_by_label()[l] for l in row["subgroup_elements"])
         except KeyError as exc:
             failures.append(f"{tag}: unknown PLR element {exc}")
             continue
-        sub = permgroup.PermGroup(plr.carrier, elems)
+        sub = permgroup.PermGroup(duality.CHORD_CARRIER, elems)
         if not sub.is_group():
             failures.append(f"{tag}: stated elements do not form a group")
         elif not permgroup.is_simply_transitive(sub, cover):
             failures.append(f"{tag}: subgroup not simply transitive on the cover")
+        named = duality.subgroup_name(sub)
+        if row.get("subgroup") != named:
+            failures.append(f"{tag}: stated subgroup name is not {named!r}")
     if failures:
         for f in failures:
             print(f, file=sys.stderr)
@@ -436,7 +412,7 @@ def main(argv=None) -> int:
     except SearchBoundExceeded as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSED
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -5,8 +5,11 @@ the T/I and PLR groups on the 24 triads, and sub-dual systems.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+import itertools
+from dataclasses import dataclass, field
+from functools import cache
+from types import MappingProxyType
+from typing import Mapping
 
 from .permgroup import (
     Carrier,
@@ -14,6 +17,8 @@ from .permgroup import (
     PermGroup,
     Permutation,
     Point,
+    REGULAR_MAX_ORDER,
+    SearchBoundExceeded,
     centralizer_brute,
     close_generators,
     is_simply_transitive,
@@ -53,6 +58,7 @@ class AbstractGroup:
 
     labels: tuple[str, ...]
     table: tuple[tuple[int, ...], ...]
+    identity: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.labels)
@@ -68,6 +74,7 @@ class AbstractGroup:
                 identity = e
         if identity is None:
             raise ValueError("table has no identity element")
+        object.__setattr__(self, "identity", identity)
         # inverses: each row must hit the identity
         if any(identity not in self.table[i] for i in rng):
             raise ValueError("table has an element without an inverse")
@@ -77,13 +84,6 @@ class AbstractGroup:
                 for k in rng:
                     if self.table[self.table[i][j]][k] != self.table[i][self.table[j][k]]:
                         raise ValueError("multiplication table is not associative")
-
-    @property
-    def identity(self) -> int:
-        for e in range(len(self.labels)):
-            if all(self.table[e][x] == x for x in range(len(self.labels))):
-                return e
-        raise AssertionError("validated table lost its identity")
 
     def inverse(self, i: int) -> int:
         return self.table[i].index(self.identity)
@@ -96,8 +96,6 @@ class AbstractGroup:
 
     @classmethod
     def symmetric(cls, n: int) -> "AbstractGroup":
-        import itertools
-
         perms = list(itertools.permutations(range(n)))
         index = {p: i for i, p in enumerate(perms)}
         labels = tuple("".join(str(x) for x in p) for p in perms)
@@ -112,23 +110,20 @@ def regular_representations(g: AbstractGroup) -> tuple[PermGroup, PermGroup]:
     """Left and right regular representations of g on its own elements:
     lambda_a(h) = a*h and rho_a(h) = h*a^{-1}."""
     n = len(g.labels)
-    if n > 24:
-        raise ValueError("regular representations bounded at order 24")
+    if n > REGULAR_MAX_ORDER:
+        raise SearchBoundExceeded(
+            f"regular representations bounded at order {REGULAR_MAX_ORDER}, got {n}"
+        )
     carrier = Carrier(g.labels)
-    lam = []
-    rho = []
-    for a in range(n):
-        a_inv = g.inverse(a)
-        lam.append(
-            Permutation(carrier, tuple(g.table[a][h] for h in range(n)), f"λ({g.labels[a]})")
-        )
-        rho.append(
-            Permutation(carrier, tuple(g.table[h][a_inv] for h in range(n)), f"ρ({g.labels[a]})")
-        )
-    return (
-        PermGroup(carrier, frozenset(lam)),
-        PermGroup(carrier, frozenset(rho)),
+    lam = frozenset(
+        Permutation(carrier, tuple(g.table[a]), f"λ({label})")
+        for a, label in enumerate(g.labels)
     )
+    rho = frozenset(
+        Permutation(carrier, tuple(row[g.inverse(a)] for row in g.table), f"ρ({label})")
+        for a, label in enumerate(g.labels)
+    )
+    return PermGroup(carrier, lam), PermGroup(carrier, rho)
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +141,7 @@ def ti_perm(a: AffineMap) -> Permutation:
     )
 
 
+@cache
 def ti_group() -> PermGroup:
     return PermGroup(CHORD_CARRIER, frozenset(ti_perm(a) for a in ti_group_maps()))
 
@@ -154,10 +150,7 @@ def dual_group(g: PermGroup, s0: Point) -> PermGroup:
     """The dual of a simply transitive group: h*s0 -> h*g^{-1}*s0."""
     if not is_simply_transitive(g, g.carrier.points):
         raise NotSimplyTransitiveError("dual_group requires a simply transitive input")
-    # h_for[s] = the unique h with h(s0) = s
-    h_for = {}
-    for h in g.elements:
-        h_for[h(s0)] = h
+    h_for = {h(s0): h for h in g.elements}  # the unique h with h(s0) = s
     out = []
     for p in g.elements:
         p_inv_s0 = p.inverse()(s0)
@@ -190,72 +183,71 @@ def verify_dual(g: PermGroup, h: PermGroup) -> bool:
     return True
 
 
-def _label_plr(p: Permutation) -> str:
-    """Computed Q_k / PQ_k name of a PLR-group element.
+#: Q_k and PQ_k labels of the PLR group, indexed by k (Q0 is Id, PQ0 is P).
+Q_LABELS = ("Id", *(f"Q{k}" for k in range(1, MOD)))
+PQ_LABELS = ("P", *(f"PQ{k}" for k in range(1, MOD)))
 
-    Q_k transposes majors up k and minors down k; everything else is P
-    composed with some Q_k.
-    """
-    c_img = p(chord("C"))
-    if c_img.quality is Quality.MAJOR:
-        k = c_img.root
-        expected = Permutation.from_function(
-            CHORD_CARRIER,
-            lambda c: Chord(
-                (c.root + k) % MOD if c.quality is Quality.MAJOR else (c.root - k) % MOD,
-                c.quality,
-            ),
-        )
-        if expected == p:
-            return "Id" if k == 0 else f"Q{k}"
-        raise AssertionError("PLR element sends C to a major chord but is not a Q_k")
-    p_perm = _plr_p()
-    k = (p_perm * p)(chord("C")).root
-    return f"PQ{k}" if k else "P"
+#: Display order of element labels: T0..T11, I0..I11, then the PLR labels.
+LABEL_ORDER = (*(ti_name(a) for a in ti_group_maps()), *Q_LABELS, *PQ_LABELS)
 
+#: Display names of the PLR subgroups that witness enumeration rows,
+#: keyed by element labels.
+SUBGROUP_NAMES = {
+    frozenset({"Id"}): "{Id}",
+    frozenset({"Id", "P"}): "{Id,P}",
+    frozenset({"Id", "P", "Q4", "Q8", "PQ4", "PQ8"}): "<P,L>",
+    frozenset({"Id", "P", "Q3", "Q6", "Q9", "PQ3", "PQ6", "PQ9"}): "<P,R>",
+    frozenset({"Id", "Q6"}): "{Id,Q6}",
+    frozenset({"Id", "Q6", "PQ1", "PQ7"}): "{Id,Q6,Sl,Q6Sl}",
+    frozenset(Q_LABELS + PQ_LABELS): "PLR-group",
+}
 
-def _plr_p() -> Permutation:
-    from .zmod import inversion
-
-    return Permutation.from_function(
-        CHORD_CARRIER,
-        lambda c: transform_chord_right(c, inversion(7)),
-        "P",
-    )
+#: Conventional names of PLR elements other than their labels.
+_PLR_ALIASES = {"L": "PQ4", "R": "PQ9"}
 
 
-def transform_chord_right(c: Chord, a: AffineMap) -> Chord:
-    """Right multiplication: the chord A{0,4,7} maps to A*a^{-1}{0,4,7},
-    where A is the unique T/I element with A{0,4,7} = c's pitches."""
-    base = chord("C")
-    for t in ti_group_maps():
-        if t.apply_set(base.pitches()) == c.pitches() and (
-            (t.m == 1) == (c.quality is Quality.MAJOR)
-        ):
-            from .zmod import chord_from_pitches
-
-            return chord_from_pitches(
-                t.compose(a.inverse()).apply_set(base.pitches())
-            )
-    raise AssertionError("every triad is a T/I image of the C chord")
-
-
+@cache
 def plr_group() -> PermGroup:
-    """The PLR group: dual of the T/I group at s0 = C, with computed
-    Q_k / PQ_k labels."""
-    raw = dual_group(ti_group(), chord("C"))
-    labeled = frozenset(p.relabeled(_label_plr(p)) for p in raw.elements)
-    return PermGroup(CHORD_CARRIER, labeled)
+    """The PLR group: dual of the T/I group at s0 = C.
+
+    Each element is labeled by its image of C alone: a major chord of root
+    k gives Q_k, a minor chord of root k gives PQ_k.  That Q_k transposes
+    majors up k and minors down k is checked here on all 24 triads.
+    """
+    c = chord("C")
+    labeled = []
+    for p in dual_group(ti_group(), c).elements:
+        image = p(c)
+        k = image.root
+        if image.quality is Quality.MINOR:
+            labeled.append(p.relabeled(PQ_LABELS[k]))
+            continue
+        for x in CHORDS:
+            shift = k if x.quality is Quality.MAJOR else -k
+            if p(x) != Chord(x.root + shift, x.quality):
+                raise AssertionError(f"PLR element sends C to a major chord but is not Q{k}")
+        labeled.append(p.relabeled(Q_LABELS[k]))
+    return PermGroup(CHORD_CARRIER, frozenset(labeled))
 
 
-_PLR_BY_LABEL: dict[str, Permutation] | None = None
+@cache
+def plr_by_label() -> Mapping[str, Permutation]:
+    """The PLR-group elements keyed by their Q_k / PQ_k labels."""
+    return MappingProxyType({p.label: p for p in plr_group().elements})
 
 
-def _plr_by_label() -> dict[str, Permutation]:
-    global _PLR_BY_LABEL
-    if _PLR_BY_LABEL is None:
-        _PLR_BY_LABEL = {p.label: p for p in plr_group().elements}
-    return _PLR_BY_LABEL
+def in_label_order(group: PermGroup) -> list[Permutation]:
+    """The elements of a labeled T/I or PLR (sub)group, in LABEL_ORDER."""
+    return sorted(group.elements, key=lambda p: LABEL_ORDER.index(p.label))
+
+
+def subgroup_name(group: PermGroup) -> str:
+    """Display name of a labeled PLR subgroup: its SUBGROUP_NAMES entry,
+    else its element labels in LABEL_ORDER."""
+    labels = frozenset(p.label for p in group.elements)
+    if labels in SUBGROUP_NAMES:
+        return SUBGROUP_NAMES[labels]
+    return "{" + ",".join(p.label for p in in_label_order(group)) + "}"
 
 
 def relabel_from(group: PermGroup, labeled: PermGroup) -> PermGroup:
@@ -280,12 +272,6 @@ def plr_named(name: str) -> Permutation:
     holds the third of a triad fixed and moves root and fifth by a
     semitone (up for majors, down for minors).
     """
-    table = _plr_by_label()
-    if name in table:
-        return table[name].relabeled(name)
-    if name in ("P", "L", "R"):
-        alias = {"P": "P", "L": "PQ4", "R": "PQ9"}[name]
-        return table[alias].relabeled(name)
     if name == "Sl":
         def slide(c: Chord) -> Chord:
             shift = 1 if c.quality is Quality.MAJOR else -1
@@ -293,10 +279,22 @@ def plr_named(name: str) -> Permutation:
             return Chord((c.root + shift) % MOD, flip)
 
         return Permutation.from_function(CHORD_CARRIER, slide, "Sl")
+    label = _PLR_ALIASES.get(name, name)
     if name.startswith("Q") and name[1:].isdigit():
-        k = int(name[1:]) % MOD
-        return table["Id" if k == 0 else f"Q{k}"].relabeled(name)
-    raise ValueError(f"unknown PLR element name {name!r}")
+        label = Q_LABELS[int(name[1:]) % MOD]
+    if label not in plr_by_label():
+        raise ValueError(f"unknown PLR element name {name!r}")
+    return plr_by_label()[label].relabeled(name)
+
+
+def plr_subgroup_named(name: str) -> PermGroup:
+    """<P,L>, <P,R> or the whole PLR group, named by generator letters
+    "PL", "PR" or "PLR"."""
+    if name == "PLR":
+        return plr_group()
+    if name in ("PL", "PR"):
+        return plr_subgroup(*name)
+    raise ValueError(f"unknown group {name!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -5,13 +5,12 @@ machine replay of the supporting case analysis.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
-from .duality import plr_group, plr_named, relabel_from, ti_group, sub_dual
+from .duality import in_label_order, plr_group, plr_named, relabel_from, subgroup_name, ti_group
 from .monoid import closure, is_closed, natural_action
 from .permgroup import PermGroup, all_subgroups, close_generators, is_simply_transitive
-from .zmod import MOD, Chord, all_chords, chord, format_pcset, maximal_cover, pcset
+from .zmod import MOD, Chord, all_chords, chord, maximal_cover, pcset
 
 #: Fixed names for the carriers the enumeration discovers.
 CARRIER_NAMES = {
@@ -24,16 +23,6 @@ CARRIER_NAMES = {
     frozenset(range(MOD)): "Chromatic Scale",
 }
 
-#: Display names for the witnessing subgroups, keyed by element labels.
-SUBGROUP_NAMES = {
-    frozenset({"Id"}): "{Id}",
-    frozenset({"Id", "P"}): "{Id,P}",
-    frozenset({"Id", "P", "Q4", "Q8", "PQ4", "PQ8"}): "<P,L>",
-    frozenset({"Id", "P", "Q3", "Q6", "Q9", "PQ3", "PQ6", "PQ9"}): "<P,R>",
-    frozenset({"Id", "Q6"}): "{Id,Q6}",
-    frozenset({"Id", "Q6", "PQ1", "PQ7"}): "{Id,Q6,Sl,Q6Sl}",
-}
-
 
 @dataclass(frozen=True)
 class EnumerationRow:
@@ -44,10 +33,7 @@ class EnumerationRow:
 
     @property
     def subgroup_name(self) -> str:
-        labels = frozenset(p.label for p in self.subgroup.elements)
-        if len(self.subgroup) == 24:
-            return "PLR-group"
-        return SUBGROUP_NAMES.get(labels, "{" + ",".join(sorted(labels)) + "}")
+        return subgroup_name(self.subgroup)
 
 
 def closed_covered_sets() -> list[frozenset[int]]:
@@ -75,9 +61,7 @@ def enumerate_rows() -> list[EnumerationRow]:
     for carrier in closed_covered_sets():
         cover, _ = maximal_cover(carrier)
         for sub in subgroups:
-            if len(sub) != len(cover):
-                continue
-            if is_simply_transitive(sub, cover):
+            if len(sub) == len(cover) and is_simply_transitive(sub, cover):
                 rows.append(
                     EnumerationRow(
                         carrier=carrier,
@@ -104,6 +88,10 @@ class Case1Line:
     pitch_union: frozenset[int]
     closed: bool
     simply_transitive_on_max_cover: bool
+
+    @property
+    def name(self) -> str:
+        return f"<P,Q{self.generator_index}>" if self.generator_index else "<P>"
 
 
 @dataclass(frozen=True)
@@ -180,7 +168,7 @@ def case_audit() -> CaseAudit:
             continue
         if not is_closed(union, act):
             continue
-        candidates.append(tuple(sorted(labels, key=lambda l: (l[0] != "T", int(l[1:])))))
+        candidates.append(tuple(q.label for q in in_label_order(sub)))
     candidates.sort(key=len)
 
     return CaseAudit(case1=tuple(case1), case2=Case2Report(excluded, tuple(candidates)))

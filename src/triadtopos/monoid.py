@@ -8,9 +8,10 @@ constants 0, 4, 7.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cache
 
-from .zmod import MOD, UNITS, AffineMap, IDENTITY, pcset
+from .zmod import AffineMap, IDENTITY
 
 F = AffineMap(3, 7)
 G = AffineMap(8, 4)
@@ -58,6 +59,7 @@ class TriadicMonoid:
         return iter(self.maps)
 
 
+@cache
 def triadic_monoid() -> TriadicMonoid:
     """Closure of {f, g} under composition plus the identity: 8 maps."""
     elements = {IDENTITY, F, G}

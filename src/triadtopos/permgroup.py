@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Iterable, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Optional
 
 Point = Hashable
 
 CENTRALIZER_MAX_POINTS = 8
 SUBGROUP_MAX_ORDER = 48
+REGULAR_MAX_ORDER = 24
 
 
 class CarrierMismatchError(ValueError):
@@ -76,9 +77,6 @@ class Permutation:
 
     def __call__(self, point: Point) -> Point:
         return self.carrier.points[self.images[self.carrier.index(point)]]
-
-    def apply_index(self, i: int) -> int:
-        return self.images[i]
 
     def compose(self, inner: "Permutation", label: str | None = None) -> "Permutation":
         """self after inner."""
@@ -160,9 +158,6 @@ class PermGroup:
 
     def identity(self) -> Permutation:
         return Permutation.identity(self.carrier)
-
-    def labels(self) -> tuple[str, ...]:
-        return tuple(str(p) for p in self.sorted_elements())
 
     def is_group(self) -> bool:
         """Exhaustive group-axiom check: identity, closure, inverses."""

@@ -11,10 +11,17 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 
-from .monoid import MonoidAction, TriadicMonoid, is_closed, natural_action, triadic_monoid
-from .zmod import MOD, AffineMap, format_pcset, pcset
+from .monoid import (
+    MonoidAction,
+    TriadicMonoid,
+    conjugated_action,
+    is_closed,
+    natural_action,
+    triadic_monoid,
+)
+from .zmod import MOD, AffineMap, format_pcset, maximal_cover, pcset
 
 EMPTY_NAME = "∅"
 
@@ -40,7 +47,7 @@ def _is_left_ideal(monoid: TriadicMonoid, subset: frozenset[str]) -> bool:
     )
 
 
-@lru_cache(maxsize=1)
+@cache
 def left_ideals() -> tuple[OmegaElement, ...]:
     """All left ideals, by exhaustive scan of the 2^8 subsets.
 
@@ -68,7 +75,7 @@ def left_ideals() -> tuple[OmegaElement, ...]:
     return tuple(OmegaElement(names[s], s) for s in found)
 
 
-@lru_cache(maxsize=1)
+@cache
 def _omega_index() -> dict[str, int]:
     return {o.name: i for i, o in enumerate(left_ideals())}
 
@@ -89,7 +96,7 @@ def omega_action(m_label: str, b: OmegaElement) -> OmegaElement:
     raise AssertionError(f"classifier action left the ideal set: {sorted(image)}")
 
 
-@lru_cache(maxsize=1)
+@cache
 def omega_action_table() -> dict[tuple[str, str], str]:
     monoid = triadic_monoid()
     return {
@@ -99,7 +106,7 @@ def omega_action_table() -> dict[tuple[str, str], str]:
     }
 
 
-@lru_cache(maxsize=1)
+@cache
 def omega_meet_table() -> dict[tuple[str, str], str]:
     by_members = {o.members: o.name for o in left_ideals()}
     return {
@@ -157,7 +164,7 @@ def _is_topology(images: tuple[int, ...]) -> bool:
     return True
 
 
-@lru_cache(maxsize=1)
+@cache
 def lt_topologies() -> tuple[LTTopology, ...]:
     """The six Lawvere-Tierney topologies, by scanning all 6^6 endo-maps.
 
@@ -199,13 +206,11 @@ def lt_topologies() -> tuple[LTTopology, ...]:
     if len(chromatic) != 2:
         raise AssertionError("expected exactly two chromatic-upgrade topologies")
     chromatic.sort(key=lambda images: images[0])
-    named.append(("j_C", chromatic[0]))
-    named.append(("j_F", chromatic[1]))
-    order = {"j_T": 0, "j_P": 1, "j_L": 2, "j_R": 3, "j_C": 4, "j_F": 5}
-    named.sort(key=lambda pair: order[pair[0]])
+    named += [("j_C", chromatic[0]), ("j_F", chromatic[1])]
+    order = ("j_T", "j_P", "j_L", "j_R", "j_C", "j_F")
     return tuple(
         LTTopology(name, tuple((names[i], names[img]) for i, img in enumerate(images)))
-        for name, images in named
+        for name, images in sorted(named, key=lambda pair: order.index(pair[0]))
     )
 
 
@@ -263,9 +268,6 @@ def conjugated_upgrades(phi: AffineMap):
     j_P / j_L / j_R upgrades of phi({0,4,7}) under the phi-conjugated
     action; carriers are computed directly and equal the phi-images of
     the natural upgrades."""
-    from .monoid import conjugated_action
-    from .zmod import maximal_cover
-
     act = conjugated_action(phi)
     seed = phi.apply_set(pcset({0, 4, 7}))
     subgroup_names = {"j_P": "<P>", "j_L": "<P,L>", "j_R": "<P,R>"}

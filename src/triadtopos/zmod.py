@@ -87,8 +87,8 @@ def ti_name(a: AffineMap) -> str:
 
 
 def parse_ti(name: str) -> AffineMap:
-    kind, idx = name[0], name[1:]
-    if kind not in "TI" or not idx.isdigit():
+    kind, idx = name[:1], name[1:]
+    if kind not in ("T", "I") or not idx.isdigit():
         raise ValueError(f"malformed T/I element name {name!r}")
     return ti_element(kind, int(idx) % MOD)
 
@@ -165,9 +165,6 @@ def transform_chord(a: AffineMap, c: Chord) -> Chord:
 
 def pcset(values: Iterable[int]) -> frozenset[int]:
     return frozenset(v % MOD for v in values)
-
-
-FULL_SET = pcset(range(MOD))
 
 
 def parse_pcset(text: str) -> frozenset[int]:

@@ -129,10 +129,44 @@ def test_verify_rejects_unclosed_carrier(capsys, tmp_path):
     assert "not closed" in err
 
 
+@pytest.mark.parametrize(
+    "index,field,value",
+    [
+        (0, "carrier", [0, 4, 7, 12]),
+        (0, "carrier", [7, 4, 0]),
+        (1, "carrier", [0, 3, 3, 4, 7]),
+        (1, "subgroup", "<P,L>"),
+        (2, "name", "Octatonic"),
+    ],
+)
+def test_verify_rejects_mutated_field(capsys, monkeypatch, index, field, value):
+    _, out, _ = run(capsys, "enumerate", "--format", "json")
+    rows = json.loads(out)
+
+    def verify():
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(rows)))
+        return run(capsys, "verify")
+
+    assert verify() == (0, "OK: 7 rows verified\n", "")
+    rows[index][field] = value
+    code, out, err = verify()
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith(f"row {index} (") and field in err
+
+
 def test_malformed_pitch_set_is_usage_error(capsys):
     code, _, err = run(capsys, "chi", "--set", "0,4,x")
     assert code == 2
     assert "error" in err
+
+
+def test_empty_conjugator_is_usage_error(capsys):
+    code, out, err = run(capsys, "chi", "--set", "0,4,7", "--conjugate", "")
+    assert code == 2
+    assert out == ""
+    assert err == "error: malformed T/I element name ''\n"
 
 
 def test_non_closed_set_is_usage_error(capsys):

@@ -3,6 +3,7 @@ import pytest
 from conftest import perm_from_cycles
 from triadtopos.duality import (
     CHORD_CARRIER,
+    CHORDS,
     AbstractGroup,
     NotCommutingError,
     NotSimplyTransitiveError,
@@ -21,12 +22,13 @@ from triadtopos.duality import (
 )
 from triadtopos.duality import restrict
 from triadtopos.permgroup import (
+    SearchBoundExceeded,
     centralizer_brute,
     close_generators,
     is_simply_transitive,
     orbit,
 )
-from triadtopos.zmod import chord, inversion, transposition
+from triadtopos.zmod import Chord, Quality, chord, inversion, transposition
 
 
 # ---------------------------------------------------------------------------
@@ -61,6 +63,18 @@ def test_regular_representation_commutation_witness():
     for a in lam.elements:
         for b in rho.elements:
             assert a.commutes_with(b)
+
+
+def test_regular_representations_bound_refusal():
+    with pytest.raises(SearchBoundExceeded):
+        regular_representations(AbstractGroup.cyclic(25))
+
+
+def test_abstract_group_identity_and_inverses():
+    g = AbstractGroup.symmetric(3)
+    assert g.labels[g.identity] == "012"
+    for i in range(len(g.labels)):
+        assert g.table[i][g.inverse(i)] == g.identity
 
 
 def test_abstract_group_rejects_bad_table():
@@ -102,6 +116,33 @@ def test_plr_elements_are_qk_and_pqk(plr):
     assert labels == {"Id"} | {f"Q{k}" for k in range(1, 12)} | {"P"} | {
         f"PQ{k}" for k in range(1, 12)
     }
+
+
+def _q(k, c):
+    """Q_k from its definition: majors up k semitones, minors down k."""
+    return Chord(c.root + k if c.quality is Quality.MAJOR else c.root - k, c.quality)
+
+
+def _parallel(c):
+    flip = Quality.MINOR if c.quality is Quality.MAJOR else Quality.MAJOR
+    return Chord(c.root, flip)
+
+
+def test_every_plr_label_acts_on_all_triads(plr):
+    """Qk and PQk = P*Qk, checked against their definitions on all 24 triads."""
+    for p in plr.elements:
+        k = 0 if p.label in ("Id", "P") else int(p.label.lstrip("PQ"))
+        for c in CHORDS:
+            expected = _q(k, c)
+            if p.label.startswith("P"):
+                expected = _parallel(expected)
+            assert p(c) == expected, (p.label, c)
+
+
+def test_plr_aliases_are_labeled_elements():
+    assert plr_named("L").images == plr_named("PQ4").images
+    assert plr_named("R").images == plr_named("PQ9").images
+    assert plr_named("Q0").images == plr_named("Id").images
 
 
 def test_plr_p_l_r_as_right_multiplication(ti):
