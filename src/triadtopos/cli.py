@@ -1,11 +1,13 @@
 """Command-line front end: every table the library computes, as stable
-text or JSON on stdout."""
+text or JSON on stdout.  Each table has a builder, the only code that calls
+the library, and a renderer that reads only its JSON payload and argv."""
 
 from __future__ import annotations
 
 import argparse
 import json
 import sys
+from pathlib import Path
 
 from . import duality, enumeration, monoid, permgroup, topos, zmod
 from .duality import in_label_order, plr_group, sub_dual, ti_group
@@ -31,13 +33,6 @@ def _sorted_labels(group: permgroup.PermGroup) -> list[str]:
     return [p.label for p in in_label_order(group)]
 
 
-def _group_lines(group: permgroup.PermGroup) -> list[str]:
-    width = max(len(p.label) for p in group.elements)
-    return [
-        f"  {p.label.ljust(width)}  {p.cycle_notation()}" for p in in_label_order(group)
-    ]
-
-
 def _group_json(group: permgroup.PermGroup) -> list[dict]:
     return [
         {"label": p.label, "cycles": p.cycle_notation(), "images": list(p.images)}
@@ -45,126 +40,95 @@ def _group_json(group: permgroup.PermGroup) -> list[dict]:
     ]
 
 
-def _emit(args, text_fn, payload) -> None:
-    if args.format == "json":
-        print(json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=False))
-    else:
-        print(text_fn())
+def _group_lines(elements: list[dict]) -> list[str]:
+    width = max(len(e["label"]) for e in elements)
+    return [f"  {e['label'].ljust(width)}  {e['cycles']}" for e in elements]
+
+
+def _braced(items: list[str]) -> str:
+    return "{" + ",".join(items) + "}"
 
 
 def _action_from_args(args):
-    phi_name = getattr(args, "conjugate", None)
-    if phi_name is None:
+    if args.conjugate is None:
         return natural_action()
-    return conjugated_action(parse_ti(phi_name))
+    return conjugated_action(parse_ti(args.conjugate))
 
 
-# ---------------------------------------------------------------------------
-# subcommands
-# ---------------------------------------------------------------------------
-
-
-def cmd_monoid(args) -> int:
+def monoid_payload(args) -> dict:
     m = triadic_monoid()
-    payload = {
-        "elements": [
-            {"label": l, "m": a.m, "b": a.b} for l, a in zip(m.labels, m.maps)
-        ],
+    return {
+        "elements": [{"label": l, "m": a.m, "b": a.b} for l, a in zip(m.labels, m.maps)],
         "composition_table": [list(row) for row in m.composition_table()],
     }
 
-    def text():
-        lines = ["Triadic monoid elements (z -> m*z + b):"]
-        for l, a in zip(m.labels, m.maps):
-            lines.append(f"  {l.ljust(2)}  m={a.m:<2} b={a.b}")
-        lines.append("")
-        lines.append("Composition table (row∘column, column applied first):")
-        lines.append(monoid.render_composition_table(m))
-        return "\n".join(lines)
 
-    _emit(args, text, payload)
-    return EXIT_OK
+def monoid_text(payload, args) -> str:
+    lines = ["Triadic monoid elements (z -> m*z + b):"]
+    for e in payload["elements"]:
+        lines.append(f"  {e['label'].ljust(2)}  m={e['m']:<2} b={e['b']}")
+    lines += ["", "Composition table (row∘column, column applied first):"]
+    lines.append(monoid.render_composition_table(triadic_monoid()))
+    return "\n".join(lines)
 
 
-def cmd_omega(args) -> int:
+def omega_payload(args) -> dict:
     ideals = topos.left_ideals()
     m = triadic_monoid()
     act = topos.omega_action_table()
-    payload = {
+    return {
         "ideals": [{"name": o.name, "members": sorted(o.members)} for o in ideals],
         "action": {
             ml: {o.name: act[(ml, o.name)] for o in ideals} for ml in m.labels
         },
     }
 
-    def text():
-        lines = ["Left ideals of the triadic monoid:"]
-        for o in ideals:
-            members = ",".join(sorted(o.members)) if o.members else "-"
-            lines.append(f"  {o.name}  {{{members}}}")
-        lines.append("")
-        lines.append("Classifier action m.B = {n : n∘m in B}:")
-        head = "  m  | " + " ".join(o.name.ljust(2) for o in ideals)
-        lines.append(head)
-        lines.append("  " + "-" * (len(head) - 2))
-        for ml in m.labels:
-            row = " ".join(act[(ml, o.name)].ljust(2) for o in ideals)
-            lines.append(f"  {ml.ljust(2)} | {row}")
-        return "\n".join(lines)
 
-    _emit(args, text, payload)
-    return EXIT_OK
+def omega_text(payload, args) -> str:
+    lines = ["Left ideals of the triadic monoid:"]
+    for o in payload["ideals"]:
+        lines.append(f"  {o['name']}  {{{','.join(o['members']) or '-'}}}")
+    head = "  m  | " + " ".join(o["name"].ljust(2) for o in payload["ideals"])
+    lines += ["", "Classifier action m.B = {n : n∘m in B}:"]
+    lines += [head, "  " + "-" * (len(head) - 2)]
+    for ml, row in payload["action"].items():
+        lines.append(f"  {ml.ljust(2)} | " + " ".join(v.ljust(2) for v in row.values()))
+    return "\n".join(lines)
 
 
-def cmd_topologies(args) -> int:
-    ideals = topos.left_ideals()
-    js = topos.lt_topologies()
-    payload = [{"name": j.name, "table": j.mapping()} for j in js]
-
-    def text():
-        lines = []
-        for j in js:
-            mapping = j.mapping()
-            lines.append(f"{j.name}:")
-            lines.append("  " + "  ".join(f"{o.name}->{mapping[o.name]}" for o in ideals))
-        return "\n".join(lines)
-
-    _emit(args, text, payload)
-    return EXIT_OK
+def topologies_payload(args) -> list:
+    return [{"name": j.name, "table": j.mapping()} for j in topos.lt_topologies()]
 
 
-def cmd_chi(args) -> int:
+def topologies_text(payload, args) -> str:
+    lines = []
+    for j in payload:
+        lines.append(f"{j['name']}:")
+        lines.append("  " + "  ".join(f"{o}->{v}" for o, v in j["table"].items()))
+    return "\n".join(lines)
+
+
+def chi_payload(args) -> dict:
     s = parse_pcset(args.set)
-    act = _action_from_args(args)
-    chi = topos.characteristic_morphism(s, act)
-    payload = {
-        "set": sorted(s),
-        "conjugate": getattr(args, "conjugate", None),
-        "table": list(chi.table),
-    }
-
-    def text():
-        head = "t      | " + " ".join(f"{z:<2}" for z in range(12))
-        row = "chi(t) | " + " ".join(v.ljust(2) for v in chi.table)
-        return head + "\n" + row
-
-    _emit(args, text, payload)
-    return EXIT_OK
+    chi = topos.characteristic_morphism(s, _action_from_args(args))
+    return {"set": sorted(s), "conjugate": args.conjugate, "table": list(chi.table)}
 
 
-def cmd_upgrade(args) -> int:
+def chi_text(payload, args) -> str:
+    table = payload["table"]
+    head = "t      | " + " ".join(f"{z:<2}" for z in range(len(table)))
+    return head + "\nchi(t) | " + " ".join(v.ljust(2) for v in table)
+
+
+def upgrade_payload(args) -> dict:
     s = parse_pcset(args.set)
-    act = _action_from_args(args)
     j = topos.topology_by_name(TOPOLOGY_FLAGS[args.topology])
-    result = topos.upgrade(s, act, j)
-    payload = {
-        "set": sorted(s),
-        "topology": j.name,
-        "conjugate": getattr(args, "conjugate", None),
-        "upgrade": sorted(result),
-    }
-    _emit(args, lambda: format_pcset(result), payload)
-    return EXIT_OK
+    return {"set": sorted(s), "topology": j.name, "conjugate": args.conjugate,
+            "upgrade": sorted(topos.upgrade(s, _action_from_args(args), j))}
+
+
+def upgrade_text(payload, args) -> str:
+    return format_pcset(payload["upgrade"])
 
 
 def _system_json(sys_: duality.SubDualSystem) -> dict:
@@ -177,48 +141,36 @@ def _system_json(sys_: duality.SubDualSystem) -> dict:
     }
 
 
-def cmd_dual(args) -> int:
+def dual_payload(args) -> dict:
     g0 = duality.plr_subgroup_named(args.group)
-    seed = chord(args.seed)
-    system = sub_dual(plr_group(), ti_group(), g0, seed)
-    payload = _system_json(system)
-
-    def text():
-        lines = [
-            f"Orbit of {system.s0} under the {args.group}-group:",
-            "  {" + ",".join(str(c) for c in system.points) + "}",
-            "Partner subgroup of the T/I-group:",
-            "  {" + ",".join(_sorted_labels(system.h0)) + "}",
-            "G0|S0:",
-            *_group_lines(system.g0_restricted),
-            "H0|S0:",
-            *_group_lines(system.h0_restricted),
-        ]
-        return "\n".join(lines)
-
-    _emit(args, text, payload)
-    return EXIT_OK
+    return _system_json(sub_dual(plr_group(), ti_group(), g0, chord(args.seed)))
 
 
-def cmd_systems(args) -> int:
+def dual_text(payload, args) -> str:
+    lines = [
+        f"Orbit of {payload['seed']} under the {args.group}-group:",
+        "  " + _braced(payload["orbit"]),
+        "Partner subgroup of the T/I-group:",
+        "  " + _braced(payload["partner"]),
+    ]
+    lines += ["G0|S0:", *_group_lines(payload["g0_restricted"])]
+    lines += ["H0|S0:", *_group_lines(payload["h0_restricted"])]
+    return "\n".join(lines)
+
+
+def systems_payload(args) -> list:
     g0 = duality.plr_subgroup_named(args.group)
-    systems = duality.all_orbits(plr_group(), ti_group(), g0)
-    payload = [_system_json(s) for s in systems]
-
-    def text():
-        lines = []
-        for i, s in enumerate(systems, 1):
-            lines.append(
-                f"System {i}: orbit {{{','.join(str(c) for c in s.points)}}}"
-                f"  partner {{{','.join(_sorted_labels(s.h0))}}}"
-            )
-        return "\n".join(lines)
-
-    _emit(args, text, payload)
-    return EXIT_OK
+    return [_system_json(s) for s in duality.all_orbits(plr_group(), ti_group(), g0)]
 
 
-def _rows_json(rows) -> list[dict]:
+def systems_text(payload, args) -> str:
+    return "\n".join(
+        f"System {i}: orbit {_braced(s['orbit'])}  partner {_braced(s['partner'])}"
+        for i, s in enumerate(payload, 1)
+    )
+
+
+def enumerate_payload(args) -> list:
     return [
         {
             "carrier": sorted(r.carrier),
@@ -227,43 +179,24 @@ def _rows_json(rows) -> list[dict]:
             "subgroup": r.subgroup_name,
             "subgroup_elements": _sorted_labels(r.subgroup),
         }
-        for r in rows
+        for r in enumeration.enumerate_rows()
     ]
 
 
-def cmd_enumerate(args) -> int:
-    rows = enumeration.enumerate_rows()
-    payload = _rows_json(rows)
-
-    def text():
-        cells = [
-            (
-                format_pcset(r.carrier),
-                r.type_label,
-                ",".join(str(c) for c in r.cover),
-                r.subgroup_name,
-            )
-            for r in rows
-        ]
-        headers = ("Carrier Set", "Type", "Maximal Cover", "PLR-Subgroup")
-        widths = [
-            max(len(row[i]) for row in cells + [headers]) for i in range(4)
-        ]
-        lines = [
-            " | ".join(h.ljust(w) for h, w in zip(headers, widths)),
-            "-+-".join("-" * w for w in widths),
-        ]
-        for row in cells:
-            lines.append(" | ".join(v.ljust(w) for v, w in zip(row, widths)))
-        return "\n".join(lines)
-
-    _emit(args, text, payload)
-    return EXIT_OK
+def enumerate_text(payload, args) -> str:
+    cells = [("Carrier Set", "Type", "Maximal Cover", "PLR-Subgroup")]
+    for r in payload:
+        cover = ",".join(r["cover"])
+        cells.append((format_pcset(r["carrier"]), r["name"], cover, r["subgroup"]))
+    widths = [max(len(row[i]) for row in cells) for i in range(len(cells[0]))]
+    lines = [" | ".join(v.ljust(w) for v, w in zip(row, widths)) for row in cells]
+    lines.insert(1, "-+-".join("-" * w for w in widths))
+    return "\n".join(lines)
 
 
-def cmd_audit(args) -> int:
+def audit_payload(args) -> dict:
     audit = enumeration.case_audit()
-    payload = {
+    return {
         "case1": [
             {
                 "subgroup": l.name,
@@ -283,51 +216,64 @@ def cmd_audit(args) -> int:
         },
     }
 
-    def text():
-        lines = ["Case 1 (subgroups containing P):"]
-        for l in audit.case1:
-            lines.append(
-                f"  {l.name.ljust(7)} orbit {{{','.join(str(c) for c in l.c_orbit)}}}"
-            )
-            lines.append(
-                f"          pitch union {format_pcset(l.pitch_union)}"
-                f"  closed={str(l.closed).lower()}"
-                f"  simply_transitive={str(l.simply_transitive_on_max_cover).lower()}"
-            )
-        lines.append("Case 2 (P-free subgroups):")
-        for pitch, (major, minor) in audit.case2.excluded_pitches.items():
-            lines.append(
-                f"  pitch {pitch} excluded: forces parallel pair {major}/{minor}"
-            )
-        for cand in audit.case2.h_candidates:
-            lines.append("  H candidate: {" + ",".join(cand) + "}")
-        return "\n".join(lines)
 
-    _emit(args, text, payload)
-    return EXIT_OK
+def audit_text(payload, args) -> str:
+    lines = ["Case 1 (subgroups containing P):"]
+    for l in payload["case1"]:
+        lines.append(f"  {l['subgroup'].ljust(7)} orbit {_braced(l['c_orbit'])}")
+        lines.append(
+            f"          pitch union {format_pcset(l['pitch_union'])}"
+            f"  closed={str(l['closed']).lower()}"
+            f"  simply_transitive={str(l['simply_transitive_on_max_cover']).lower()}"
+        )
+    lines.append("Case 2 (P-free subgroups):")
+    case2 = payload["case2"]
+    for pitch, (major, minor) in case2["excluded_pitches"].items():
+        lines.append(f"  pitch {pitch} excluded: forces parallel pair {major}/{minor}")
+    lines += ["  H candidate: " + _braced(cand) for cand in case2["h_candidates"]]
+    return "\n".join(lines)
+
+
+#: The JSON type of each field of an enumerate row; [t] is a list of t.
+ROW_FIELDS = {"carrier": [int], "name": str, "cover": [str], "subgroup": str,
+              "subgroup_elements": [str]}
+
+
+def _has_type(value, kind) -> bool:
+    if isinstance(kind, list):
+        return isinstance(value, list) and all(type(v) is kind[0] for v in value)
+    return type(value) is kind
 
 
 def cmd_verify(args) -> int:
     """Re-prove the invariants of enumeration rows from their JSON form."""
-    if args.input:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            rows = json.load(fh)
-    else:
-        rows = json.load(sys.stdin)
+    source = args.input or "<stdin>"
+    try:
+        path = Path(args.input) if args.input else None
+        rows = json.loads(path.read_text(encoding="utf-8") if path else sys.stdin.read())
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ValueError(f"cannot read JSON rows from {source}: {exc}") from None
+    if not isinstance(rows, list):
+        raise ValueError(f"{source} is not a JSON list of rows")
     act = natural_action()
     failures = []
     for i, row in enumerate(rows):
+        if not isinstance(row, dict):
+            failures.append(f"row {i} (None): not a JSON object")
+            continue
         tag = f"row {i} ({row.get('name')})"
+        wrong = [f for f, kind in ROW_FIELDS.items() if not _has_type(row.get(f), kind)]
+        if wrong:
+            failures.append(f"{tag}: field {wrong[0]!r} is missing or not of its JSON type")
+            continue
         stated = row["carrier"]
-        in_range = isinstance(stated, list) and all(
-            type(z) is int and 0 <= z < zmod.MOD for z in stated
-        )
-        if not (in_range and stated == sorted(set(stated))):
-            failures.append(f"{tag}: carrier {stated} is not sorted distinct pitch classes")
+        if not stated or stated != sorted(set(stated) & set(range(zmod.MOD))):
+            failures.append(f"{tag}: carrier {stated} is not nonempty, sorted,"
+                            " distinct pitch classes")
             continue
         carrier = frozenset(stated)
         name = enumeration.CARRIER_NAMES.get(carrier)
-        if row.get("name") != name:
+        if row["name"] != name:
             failures.append(f"{tag}: stated name is not {name!r}")
         if not monoid.is_closed(carrier, act):
             failures.append(f"{tag}: carrier not closed under the monoid")
@@ -344,22 +290,16 @@ def cmd_verify(args) -> int:
         sub = permgroup.PermGroup(duality.CHORD_CARRIER, elems)
         if not sub.is_group():
             failures.append(f"{tag}: stated elements do not form a group")
-        elif not permgroup.is_simply_transitive(sub, cover):
+        elif cover and not permgroup.is_simply_transitive(sub, cover):
             failures.append(f"{tag}: subgroup not simply transitive on the cover")
         named = duality.subgroup_name(sub)
-        if row.get("subgroup") != named:
+        if row["subgroup"] != named:
             failures.append(f"{tag}: stated subgroup name is not {named!r}")
     if failures:
-        for f in failures:
-            print(f, file=sys.stderr)
+        print("\n".join(failures), file=sys.stderr)
         return EXIT_REFUSED
     print(f"OK: {len(rows)} rows verified")
     return EXIT_OK
-
-
-# ---------------------------------------------------------------------------
-# parser
-# ---------------------------------------------------------------------------
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -369,52 +309,65 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_):
+    def table(name, build, render, help_):
         p = sub.add_parser(name, help=help_)
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.set_defaults(fn=fn)
+        p.set_defaults(build=build, render=render)
         return p
 
-    add("monoid", cmd_monoid, "the 8-element triadic monoid and its table")
-    add("omega", cmd_omega, "left ideals and the classifier action")
-    add("topologies", cmd_topologies, "the six Lawvere-Tierney topologies")
+    table("monoid", monoid_payload, monoid_text,
+          "the 8-element triadic monoid and its table")
+    table("omega", omega_payload, omega_text, "left ideals and the classifier action")
+    table("topologies", topologies_payload, topologies_text,
+          "the six Lawvere-Tierney topologies")
 
-    p = add("chi", cmd_chi, "characteristic morphism of a closed pitch set")
+    p = table("chi", chi_payload, chi_text, "characteristic morphism of a closed pitch set")
     p.add_argument("--set", required=True, help="pitch set, e.g. 0,4,7")
     p.add_argument("--conjugate", help="conjugate the action by a T/I element, e.g. T5")
 
-    p = add("upgrade", cmd_upgrade, "topology upgrade of a closed pitch set")
+    p = table("upgrade", upgrade_payload, upgrade_text,
+              "topology upgrade of a closed pitch set")
     p.add_argument("--set", required=True)
     p.add_argument("--topology", required=True, choices=sorted(TOPOLOGY_FLAGS))
     p.add_argument("--conjugate")
 
-    p = add("dual", cmd_dual, "sub-dual system of a PLR subgroup at a seed chord")
+    p = table("dual", dual_payload, dual_text,
+              "sub-dual system of a PLR subgroup at a seed chord")
     p.add_argument("--group", required=True, choices=("PL", "PR", "PLR"))
     p.add_argument("--seed", required=True, help="chord name, e.g. Eb or eb")
 
-    p = add("systems", cmd_systems, "all orbit systems of a PLR subgroup")
+    p = table("systems", systems_payload, systems_text,
+              "all orbit systems of a PLR subgroup")
     p.add_argument("--group", required=True, choices=("PL", "PR"))
 
-    add("enumerate", cmd_enumerate, "closed covered sets with simply transitive covers")
-    add("audit", cmd_audit, "machine replay of the enumeration case analysis")
+    table("enumerate", enumerate_payload, enumerate_text,
+          "closed covered sets with simply transitive covers")
+    table("audit", audit_payload, audit_text,
+          "machine replay of the enumeration case analysis")
 
-    p = add("verify", cmd_verify, "re-prove invariants of enumerate JSON rows")
+    p = sub.add_parser("verify", help="re-prove invariants of enumerate JSON rows")
     p.add_argument("--input", help="JSON file (default: stdin)")
-
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand; the only place that turns exceptions into exit codes."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        if args.command == "verify":
+            return cmd_verify(args)
+        payload = args.build(args)
     except SearchBoundExceeded as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSED
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    if args.format == "json":
+        print(json.dumps(payload, ensure_ascii=False, indent=2))
+    else:
+        print(args.render(payload, args))
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -102,7 +102,11 @@ class Permutation:
         return all(i == j for i, j in enumerate(self.images))
 
     def commutes_with(self, other: "Permutation") -> bool:
-        return (self * other).images == (other * self).images
+        """self * other == other * self, checked without building either product."""
+        if self.carrier != other.carrier:
+            raise CarrierMismatchError("cannot compose permutations on different carriers")
+        p, q = self.images, other.images
+        return [p[x] for x in q] == [q[x] for x in p]
 
     def cycles(self) -> tuple[tuple[Point, ...], ...]:
         """Disjoint cycles, each starting at its minimal carrier index,

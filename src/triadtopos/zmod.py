@@ -87,10 +87,13 @@ def ti_name(a: AffineMap) -> str:
 
 
 def parse_ti(name: str) -> AffineMap:
+    """Parse 'T5' or 'I11'; the index must be in 0..11."""
     kind, idx = name[:1], name[1:]
-    if kind not in ("T", "I") or not idx.isdigit():
+    if kind not in ("T", "I") or not (idx.isascii() and idx.isdigit()):
         raise ValueError(f"malformed T/I element name {name!r}")
-    return ti_element(kind, int(idx) % MOD)
+    if int(idx) >= MOD:
+        raise ValueError(f"T/I index in {name!r} is outside 0..{MOD - 1}")
+    return ti_element(kind, int(idx))
 
 
 def ti_group_maps() -> tuple[AffineMap, ...]:
@@ -168,17 +171,21 @@ def pcset(values: Iterable[int]) -> frozenset[int]:
 
 
 def parse_pcset(text: str) -> frozenset[int]:
-    """Parse '0,4,7' into a pitch-class set."""
+    """Parse '0,4,7' into a pitch-class set; each pitch class must be in 0..11."""
     text = text.strip()
     if not text:
         return frozenset()
     try:
-        return pcset(int(tok) for tok in text.split(","))
+        values = [int(tok) for tok in text.split(",")]
     except ValueError:
         raise ValueError(f"malformed pitch set {text!r}") from None
+    outside = [v for v in values if not 0 <= v < MOD]
+    if outside:
+        raise ValueError(f"pitch class {outside[0]} in {text!r} is outside 0..{MOD - 1}")
+    return frozenset(values)
 
 
-def format_pcset(s: frozenset[int]) -> str:
+def format_pcset(s: Iterable[int]) -> str:
     return "{" + ",".join(str(v) for v in sorted(s)) + "}"
 
 

@@ -1,10 +1,13 @@
 import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from triadtopos.cli import main
+from triadtopos.cli import build_parser, main
 
 GOLDENS = Path(__file__).parent / "goldens"
 
@@ -183,3 +186,177 @@ def test_unknown_subcommand_exits_2(capsys):
 def test_unknown_chord_seed_is_usage_error(capsys):
     code, _, err = run(capsys, "dual", "--group", "PL", "--seed", "H")
     assert code == 2
+
+
+#: Golden stem -> argv of each table subcommand; `<stem>.json` holds its
+#: `--format json` stdout.
+TABLE_ARGV = {
+    "monoid": ("monoid",),
+    "omega": ("omega",),
+    "topologies": ("topologies",),
+    "chi_c": ("chi", "--set", "0,4,7"),
+    "upgrade_c_l": ("upgrade", "--set", "0,4,7", "--topology", "L"),
+    "dual_pl_eb": ("dual", "--group", "PL", "--seed", "Eb"),
+    "systems_pr": ("systems", "--group", "PR"),
+    "enumerate": ("enumerate",),
+    "audit": ("audit",),
+}
+
+
+@pytest.mark.parametrize("stem", TABLE_ARGV)
+def test_json_output_matches_golden(capsys, stem):
+    code, out, err = run(capsys, *TABLE_ARGV[stem], "--format", "json")
+    assert (code, err) == (0, "")
+    assert out == (GOLDENS / f"{stem}.json").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("stem", TABLE_ARGV)
+def test_text_is_rendered_from_the_json_payload(capsys, stem):
+    argv = list(TABLE_ARGV[stem])
+    _, payload, _ = run(capsys, *argv, "--format", "json")
+    _, text, _ = run(capsys, *argv)
+    args = build_parser().parse_args(argv)
+    assert args.render(json.loads(payload), args) + "\n" == text
+
+
+def verify_stdin(capsys, monkeypatch, text):
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    return run(capsys, "verify")
+
+
+@pytest.mark.parametrize("text", ['{"a":1}', "null", "", "[[", "not json", '"rows"'])
+def test_verify_envelope_problem_is_usage_error(capsys, monkeypatch, text):
+    code, out, err = verify_stdin(capsys, monkeypatch, text)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "<stdin>" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name", ["missing.json", "."])
+def test_verify_unreadable_input_is_usage_error(capsys, tmp_path, name):
+    path = str(tmp_path / name)
+    code, out, err = run(capsys, "verify", "--input", path)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read JSON rows from {path}: ")
+    assert err.count("\n") == 1
+
+
+def test_verify_takes_no_format_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--format", "json"])
+    assert exc.value.code == 2
+
+
+ENUMERATE_ROWS = json.loads((GOLDENS / "enumerate.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize(
+    "rows,problem",
+    [
+        ([{}], "field 'carrier' is missing"),
+        ([1], "not a JSON object"),
+        ([[0, 4, 7]], "not a JSON object"),
+        ([{**ENUMERATE_ROWS[0], "cover": "C"}], "field 'cover'"),
+        ([{**ENUMERATE_ROWS[0], "subgroup_elements": "Id"}], "field 'subgroup_elements'"),
+        ([{**ENUMERATE_ROWS[0], "subgroup_elements": [["Id"]]}], "field 'subgroup_elements'"),
+        ([{**ENUMERATE_ROWS[0], "name": 5}], "field 'name'"),
+        ([{**ENUMERATE_ROWS[0], "carrier": [True, 4, 7]}], "field 'carrier'"),
+        ([{**ENUMERATE_ROWS[0], "carrier": [], "cover": []}], "carrier []"),
+        ([{k: v for k, v in ENUMERATE_ROWS[0].items() if k != "subgroup"}], "'subgroup'"),
+    ],
+)
+def test_verify_malformed_row_is_refused(capsys, monkeypatch, rows, problem):
+    code, out, err = verify_stdin(capsys, monkeypatch, json.dumps(rows))
+    assert (code, out) == (1, "")
+    assert err.startswith("row 0 (") and problem in err and err.count("\n") == 1
+
+
+def test_verify_refuses_carrier_without_triads(capsys, monkeypatch):
+    row = {**ENUMERATE_ROWS[0], "carrier": [2], "cover": [], "subgroup_elements": ["Id"]}
+    code, out, err = verify_stdin(capsys, monkeypatch, json.dumps([row]))
+    assert (code, out) == (1, "")
+    assert "row 0 (Major Chord): carrier not covered by its triads\n" in err
+
+
+@pytest.mark.parametrize(
+    "argv,token",
+    [
+        (("upgrade", "--set", "0,4,7", "--topology", "P", "--conjugate", "T99"), "'T99'"),
+        (("chi", "--set", "0,4,7", "--conjugate", "I12"), "'I12'"),
+        (("chi", "--set", "0,4,7,12"), "pitch class 12 in '0,4,7,12'"),
+        (("chi", "--set=-5,-1,2"), "pitch class -5 in '-5,-1,2'"),
+    ],
+)
+def test_out_of_range_argument_is_usage_error(capsys, argv, token):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and token in err and err.count("\n") == 1
+
+
+def exit_code(argv, stdin="") -> int:
+    """main's exit code, allowing argparse's SystemExit(2) and nothing else."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(stdin)), redirect_stdout(out), redirect_stderr(err):
+        try:
+            return main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2
+            return 2
+
+
+def tokens(*valid):
+    return st.sampled_from(valid) | st.text(max_size=10)
+
+
+#: Fuzzed option values: a few that parse (or nearly do), or any text.
+OPTIONS = {
+    "--set": tokens("0,4,7", "0,3,4,7", "1,5,8", "0,4,5,7", "0,4,7,12", "-5,-1,2", ""),
+    "--conjugate": tokens("T5", "I11", "T12", "I-1", "t3", ""),
+    "--seed": tokens("Eb", "c", "Gb", "H", ""),
+    "--group": tokens("PL", "PR", "PLR"),
+    "--topology": tokens("T", "L", "chromatic1"),
+    "--format": tokens("text", "json"),
+}
+#: The options each fuzzed subcommand requires; any may also get others.
+REQUIRED = {"chi": ["--set"], "upgrade": ["--set", "--topology"], "dual": ["--group", "--seed"],
+            "verify": []}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(sorted(REQUIRED)),
+    st.lists(st.sampled_from(["--conjugate", "--seed", "--group", "--format"]), max_size=2),
+    st.data(),
+)
+def test_fuzzed_argv_exits_0_1_or_2(command, extra, data):
+    flags = REQUIRED[command] + extra
+    argv = [command, *(f"{flag}={data.draw(OPTIONS[flag])}" for flag in flags)]
+    assert exit_code(argv, "[]") in (0, 1, 2)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 30) | st.text(max_size=4)
+    | st.sampled_from(["C", "c", "Id", "P", "Q4", "Hexatonic", "<P,L>"]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(list(ENUMERATE_ROWS[0])) | st.text(max_size=3), inner),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(JSON_VALUES)
+def test_fuzzed_verify_input_exits_0_1_or_2(value):
+    assert exit_code(["verify"], json.dumps(value)) in (0, 1, 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, len(ENUMERATE_ROWS) - 1), st.sampled_from(list(ENUMERATE_ROWS[0])), JSON_VALUES
+)
+def test_real_rows_with_one_field_replaced(index, field, value):
+    rows = json.loads(json.dumps(ENUMERATE_ROWS))
+    rows[index][field] = value
+    code = exit_code(["verify"], json.dumps(rows))
+    if value == ENUMERATE_ROWS[index][field]:
+        assert code == 0
+    else:
+        assert code in (0, 1)

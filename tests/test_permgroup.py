@@ -43,6 +43,15 @@ def test_permutation_rejects_non_bijection():
         Permutation(small_carrier(3), (0, 0, 1))
 
 
+def test_commutes_with_matches_products(ti, plr):
+    elements = [*ti.elements, *plr.elements]
+    for p in elements:
+        for q in elements:
+            assert p.commutes_with(q) == ((p * q).images == (q * p).images)
+    with pytest.raises(CarrierMismatchError):
+        plr_named("P").commutes_with(Permutation.identity(small_carrier(24)))
+
+
 def test_cycle_notation():
     c = Carrier(("x", "y", "z", "w"))
     p = Permutation(c, (1, 0, 2, 3))

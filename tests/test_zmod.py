@@ -151,3 +151,21 @@ def test_pcset_parsing():
     assert format_pcset(pcset({7, 0, 4})) == "{0,4,7}"
     with pytest.raises(ValueError):
         parse_pcset("0,4,x")
+
+
+@pytest.mark.parametrize("text,value", [("0,4,7,12", 12), ("-5,-1,2", -5), ("0, 99", 99)])
+def test_parse_pcset_rejects_pitch_class_outside_0_11(text, value):
+    with pytest.raises(ValueError, match=f"pitch class {value} in '{text}' is outside 0..11"):
+        parse_pcset(text)
+
+
+def test_pcset_still_reduces_mod_12():
+    assert pcset([12, -1, 4]) == frozenset({0, 4, 11})
+
+
+@pytest.mark.parametrize("name", ["T12", "T99", "I12"])
+def test_parse_ti_rejects_index_outside_0_11(name):
+    from triadtopos.zmod import parse_ti
+
+    with pytest.raises(ValueError, match=f"'{name}' is outside 0..11"):
+        parse_ti(name)
