@@ -79,7 +79,8 @@ def omega_payload(args) -> dict:
     return {
         "ideals": [{"name": o.name, "members": sorted(o.members)} for o in ideals],
         "action": {
-            ml: {o.name: act[(ml, o.name)] for o in ideals} for ml in m.labels
+            ml: {o.name: ideals[k].name for o, k in zip(ideals, row)}
+            for ml, row in zip(m.labels, act)
         },
     }
 
@@ -280,14 +281,17 @@ def cmd_verify(args) -> int:
         cover, covered = zmod.maximal_cover(carrier)
         if not covered:
             failures.append(f"{tag}: carrier not covered by its triads")
-        if sorted(str(c) for c in cover) != sorted(row["cover"]):
-            failures.append(f"{tag}: stated cover is not the maximal cover")
+        if row["cover"] != [str(c) for c in cover]:
+            failures.append(f"{tag}: stated cover is not the maximal cover in triad order")
         try:
             elems = frozenset(duality.plr_by_label()[l] for l in row["subgroup_elements"])
         except KeyError as exc:
             failures.append(f"{tag}: unknown PLR element {exc}")
             continue
         sub = permgroup.PermGroup(duality.CHORD_CARRIER, elems)
+        if row["subgroup_elements"] != _sorted_labels(sub):
+            failures.append(f"{tag}: stated subgroup elements are not distinct labels"
+                            " in label order")
         if not sub.is_group():
             failures.append(f"{tag}: stated elements do not form a group")
         elif cover and not permgroup.is_simply_transitive(sub, cover):

@@ -8,9 +8,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .duality import in_label_order, plr_group, plr_named, relabel_from, subgroup_name, ti_group
-from .monoid import closure, is_closed, natural_action
+from .monoid import MonoidAction, closure, is_closed, natural_action
 from .permgroup import PermGroup, all_subgroups, close_generators, is_simply_transitive
-from .zmod import MOD, Chord, all_chords, chord, maximal_cover, pcset
+from .zmod import MOD, Chord, all_chords, chord, maximal_cover, pcset, pitches_of
 
 #: Fixed names for the carriers the enumeration discovers.
 CARRIER_NAMES = {
@@ -36,18 +36,19 @@ class EnumerationRow:
         return subgroup_name(self.subgroup)
 
 
+def _is_closed_covered(mask: int, action: MonoidAction) -> bool:
+    """Whether the pitch set with this mask is closed under the action and
+    covered by the triads it contains.  The public `is_closed` runs once
+    per candidate, so a trace of it counts the whole scan."""
+    s = pitches_of(mask)
+    return is_closed(s, action) and maximal_cover(s)[1]
+
+
 def closed_covered_sets() -> list[frozenset[int]]:
     """All nonempty pitch sets closed under the natural monoid action and
-    covered by their contained triads, scanning all 2^12 subsets."""
+    covered by their contained triads, scanning all 2^12 - 1 masks."""
     act = natural_action()
-    out = []
-    for bits in range(1, 2**MOD):
-        s = frozenset(z for z in range(MOD) if bits >> z & 1)
-        if not is_closed(s, act):
-            continue
-        _, covered = maximal_cover(s)
-        if covered:
-            out.append(s)
+    out = [pitches_of(mask) for mask in range(1, 1 << MOD) if _is_closed_covered(mask, act)]
     out.sort(key=lambda s: (len(s), sorted(s)))
     return out
 

@@ -8,10 +8,10 @@ constants 0, 4, 7.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 
-from .zmod import AffineMap, IDENTITY
+from .zmod import IDENTITY, MOD, AffineMap, mask_of, pitches_of
 
 F = AffineMap(3, 7)
 G = AffineMap(8, 4)
@@ -36,21 +36,24 @@ class TriadicMonoid:
 
     labels: tuple[str, ...]
     maps: tuple[AffineMap, ...]
+    #: products[o][i] is the index of maps[o]∘maps[i] (maps[i] applied first).
+    products: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        products = tuple(
+            tuple(self.maps.index(o.compose(i)) for i in self.maps) for o in self.maps
+        )
+        object.__setattr__(self, "products", products)
 
     def element(self, label: str) -> AffineMap:
         return self.maps[self.labels.index(label)]
 
-    def label_of(self, m: AffineMap) -> str:
-        return self.labels[self.maps.index(m)]
-
     def compose_labels(self, outer: str, inner: str) -> str:
         """Label of outer∘inner (inner applied first)."""
-        return self.label_of(self.element(outer).compose(self.element(inner)))
+        return self.labels[self.products[self.labels.index(outer)][self.labels.index(inner)]]
 
     def composition_table(self) -> tuple[tuple[str, ...], ...]:
-        return tuple(
-            tuple(self.compose_labels(o, i) for i in self.labels) for o in self.labels
-        )
+        return tuple(tuple(self.labels[k] for k in row) for row in self.products)
 
     def __len__(self) -> int:
         return len(self.maps)
@@ -68,39 +71,55 @@ def triadic_monoid() -> TriadicMonoid:
         if not new:
             break
         elements |= new
-    monoid = TriadicMonoid(ELEMENT_LABELS, tuple(_LABELED[l] for l in ELEMENT_LABELS))
-    if set(monoid.maps) != elements:
+    if set(_LABELED.values()) != elements:
         raise AssertionError("labeled elements disagree with the generator closure")
-    return monoid
+    return TriadicMonoid(ELEMENT_LABELS, tuple(_LABELED[l] for l in ELEMENT_LABELS))
 
 
 @dataclass(frozen=True)
 class MonoidAction:
     """The triadic monoid acting on Z_12, optionally conjugated: with
-    conjugator phi, an element t acts as phi∘t∘phi^{-1}."""
+    conjugator phi, an element t acts as phi∘t∘phi^{-1}.
+
+    `images[k][z]` is the image of z under the k-th monoid element, and
+    `orbits[z]` is the pitch mask of z's orbit; both are built once."""
 
     monoid: TriadicMonoid
     conjugator: AffineMap = IDENTITY
+    images: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    orbits: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
-    def act_map(self, t: AffineMap) -> AffineMap:
-        phi = self.conjugator
-        return phi.compose(t).compose(phi.inverse())
+    def __post_init__(self):
+        phi, inv = self.conjugator, self.conjugator.inverse()
+        images = tuple(tuple(phi(t(inv(z))) for z in range(MOD)) for t in self.monoid)
+        object.__setattr__(self, "images", images)
+        object.__setattr__(self, "orbits", tuple(mask_of(col) for col in zip(*images)))
 
     def act(self, t: AffineMap, z: int) -> int:
-        return self.act_map(t)(z)
+        return self.images[self.monoid.maps.index(t)][z % MOD]
 
     def act_label(self, label: str, z: int) -> int:
-        return self.act(self.monoid.element(label), z)
+        return self.images[self.monoid.labels.index(label)][z % MOD]
+
+    def closure_mask(self, mask: int) -> int:
+        """Pitch mask of the smallest closed superset: the union of the
+        orbits of the points of `mask`."""
+        out = 0
+        for z, orbit in enumerate(self.orbits):
+            if mask >> z & 1:
+                out |= orbit
+        return out
 
     @property
     def is_natural(self) -> bool:
-        return self.act_map(F) == F and self.act_map(G) == G
+        return self.images == natural_action().images
 
 
 def natural_action() -> MonoidAction:
-    return MonoidAction(triadic_monoid())
+    return conjugated_action(IDENTITY)
 
 
+@cache
 def conjugated_action(phi: AffineMap) -> MonoidAction:
     """The phi-conjugated action, for phi in the T/I group (m in {1, 11})."""
     if phi.m not in (1, 11):
@@ -110,18 +129,13 @@ def conjugated_action(phi: AffineMap) -> MonoidAction:
 
 def is_closed(s: frozenset[int], action: MonoidAction) -> bool:
     """True iff t(x) stays in s for every monoid element t and x in s."""
-    return all(action.act(t, z) in s for t in action.monoid for z in s)
+    mask = mask_of(s)
+    return action.closure_mask(mask) == mask
 
 
 def closure(s: frozenset[int], action: MonoidAction) -> frozenset[int]:
     """Smallest superset of s closed under the action."""
-    out = set(s)
-    frontier = set(s)
-    while frontier:
-        new = {action.act(t, z) for t in action.monoid for z in frontier} - out
-        out |= new
-        frontier = new
-    return frozenset(out)
+    return pitches_of(action.closure_mask(mask_of(s)))
 
 
 def render_composition_table(monoid: TriadicMonoid) -> str:

@@ -17,11 +17,10 @@ from .monoid import (
     MonoidAction,
     TriadicMonoid,
     conjugated_action,
-    is_closed,
     natural_action,
     triadic_monoid,
 )
-from .zmod import MOD, AffineMap, format_pcset, maximal_cover, pcset
+from .zmod import MOD, AffineMap, format_pcset, mask_of, maximal_cover, pcset
 
 EMPTY_NAME = "∅"
 
@@ -41,10 +40,11 @@ class NotClosedError(ValueError):
     """Raised when a pitch set is not closed under the given action."""
 
 
-def _is_left_ideal(monoid: TriadicMonoid, subset: frozenset[str]) -> bool:
-    return all(
-        monoid.compose_labels(t, b) in subset for t in monoid.labels for b in subset
-    )
+def _is_left_ideal(monoid: TriadicMonoid, bits: int) -> bool:
+    """Whether the elements whose indices are set in `bits` form a left
+    ideal: t∘b stays in it for every monoid element t and member b."""
+    members = [b for b in range(len(monoid)) if bits >> b & 1]
+    return all(bits >> row[b] & 1 for row in monoid.products for b in members)
 
 
 @cache
@@ -55,12 +55,11 @@ def left_ideals() -> tuple[OmegaElement, ...]:
     ∅ < C < L < R < P < T.
     """
     monoid = triadic_monoid()
-    found = []
-    for r in range(len(monoid.labels) + 1):
-        for combo in itertools.combinations(monoid.labels, r):
-            subset = frozenset(combo)
-            if _is_left_ideal(monoid, subset):
-                found.append(subset)
+    found = [
+        frozenset(l for k, l in enumerate(monoid.labels) if bits >> k & 1)
+        for bits in range(1 << len(monoid))
+        if _is_left_ideal(monoid, bits)
+    ]
     found.sort(key=lambda s: (len(s), tuple(sorted(s))))
     names = {
         frozenset(): EMPTY_NAME,
@@ -80,88 +79,96 @@ def _omega_index() -> dict[str, int]:
     return {o.name: i for i, o in enumerate(left_ideals())}
 
 
+@cache
+def _member_masks() -> tuple[int, ...]:
+    """Each Omega element's members as a mask over monoid element indices."""
+    labels = triadic_monoid().labels
+    return tuple(mask_of(labels.index(l) for l in o.members) for o in left_ideals())
+
+
+def _omega_of_members(bits: int) -> int:
+    """Omega index of the left ideal whose member mask is `bits`."""
+    try:
+        return _member_masks().index(bits)
+    except ValueError:
+        raise AssertionError(f"member mask {bits:#b} is not a left ideal") from None
+
+
 def omega_by_name(name: str) -> OmegaElement:
     return left_ideals()[_omega_index()[name]]
 
 
+@cache
+def omega_action_table() -> tuple[tuple[int, ...], ...]:
+    """[m][i] is the Omega index of m . B_i = {n : n∘m in B_i}, for the
+    m-th monoid element and the i-th left ideal."""
+    products = triadic_monoid().products
+    return tuple(
+        tuple(
+            _omega_of_members(mask_of(n for n, row in enumerate(products) if bits >> row[m] & 1))
+            for bits in _member_masks()
+        )
+        for m in range(len(products))
+    )
+
+
+@cache
+def omega_meet_table() -> tuple[tuple[int, ...], ...]:
+    """[i][k] is the Omega index of B_i ∩ B_k."""
+    masks = _member_masks()
+    return tuple(tuple(_omega_of_members(r & s) for s in masks) for r in masks)
+
+
 def omega_action(m_label: str, b: OmegaElement) -> OmegaElement:
     """The classifier action: m . B = {n : n∘m in B}."""
-    monoid = triadic_monoid()
-    image = frozenset(
-        n for n in monoid.labels if monoid.compose_labels(n, m_label) in b.members
-    )
-    for o in left_ideals():
-        if o.members == image:
-            return o
-    raise AssertionError(f"classifier action left the ideal set: {sorted(image)}")
-
-
-@cache
-def omega_action_table() -> dict[tuple[str, str], str]:
-    monoid = triadic_monoid()
-    return {
-        (m, b.name): omega_action(m, b).name
-        for m in monoid.labels
-        for b in left_ideals()
-    }
-
-
-@cache
-def omega_meet_table() -> dict[tuple[str, str], str]:
-    by_members = {o.members: o.name for o in left_ideals()}
-    return {
-        (r.name, s.name): by_members[r.members & s.members]
-        for r in left_ideals()
-        for s in left_ideals()
-    }
+    m = triadic_monoid().labels.index(m_label)
+    return left_ideals()[omega_action_table()[m][_omega_index()[b.name]]]
 
 
 @dataclass(frozen=True)
 class LTTopology:
     """An equivariant, top-fixing, idempotent, meet-preserving endo-map
-    of Omega, as a name -> name table."""
+    of Omega: images[i] is the Omega index of j(B_i)."""
 
     name: str
-    table: tuple[tuple[str, str], ...]
+    images: tuple[int, ...]
 
     def __call__(self, b: OmegaElement | str) -> OmegaElement:
         key = b if isinstance(b, str) else b.name
-        return omega_by_name(dict(self.table)[key])
+        return left_ideals()[self.images[_omega_index()[key]]]
+
+    @property
+    def table(self) -> tuple[tuple[str, str], ...]:
+        """The map as (name, image name) pairs in Omega order."""
+        ideals = left_ideals()
+        return tuple((o.name, ideals[k].name) for o, k in zip(ideals, self.images))
 
     def mapping(self) -> dict[str, str]:
         return dict(self.table)
 
 
 def _is_topology(images: tuple[int, ...]) -> bool:
-    """Axiom check for a candidate endo-map given as indices into the
-    canonical Omega order."""
-    ideals = left_ideals()
-    names = [o.name for o in ideals]
-    n = len(ideals)
+    """Axiom check for a candidate endo-map given as Omega indices."""
+    n = len(images)
     top = n - 1
     if images[top] != top:
         return False
-    # idempotence
     if any(images[images[i]] != images[i] for i in range(n)):
         return False
     # equivariance under all 8 monoid elements
-    act = omega_action_table()
-    idx = _omega_index()
-    for m in triadic_monoid().labels:
-        for i in range(n):
-            lhs = images[idx[act[(m, names[i])]]]
-            rhs = idx[act[(m, names[images[i]])]]
-            if lhs != rhs:
-                return False
-    # meet preservation
+    for row in omega_action_table():
+        if any(images[row[i]] != row[images[i]] for i in range(n)):
+            return False
     meet = omega_meet_table()
-    for i in range(n):
-        for j in range(i, n):
-            lhs = meet[(names[images[i]], names[images[j]])]
-            rhs = names[images[idx[meet[(names[i], names[j])]]]]
-            if lhs != rhs:
-                return False
-    return True
+    return all(
+        meet[images[i]][images[k]] == images[meet[i][k]] for i in range(n) for k in range(i, n)
+    )
+
+
+def _top_preimage(chi: tuple[int, ...], images: tuple[int, ...]) -> frozenset[int]:
+    """The pitch classes z with images[chi[z]] the top ideal."""
+    top = len(images) - 1
+    return frozenset(z for z, i in enumerate(chi) if images[i] == top)
 
 
 @cache
@@ -173,19 +180,14 @@ def lt_topologies() -> tuple[LTTopology, ...]:
     at the empty ideal.  The j_C / j_F assignment is a convention: only
     the pair is pinned by the upgrade table, not which is which.
     """
-    ideals = left_ideals()
-    names = [o.name for o in ideals]
-    n = len(ideals)
-    survivors = []
-    for images in itertools.product(range(n), repeat=n):
-        if _is_topology(images):
-            survivors.append(images)
+    n = len(left_ideals())
+    survivors = [
+        images for images in itertools.product(range(n), repeat=n) if _is_topology(images)
+    ]
     if len(survivors) != 6:
         raise AssertionError(f"expected 6 topologies, scan found {len(survivors)}")
 
-    act = natural_action()
-    c_chord = pcset({0, 4, 7})
-    chi = characteristic_morphism(c_chord, act)
+    chi = characteristic_morphism(pcset({0, 4, 7}), natural_action()).indices
     by_upgrade = {
         frozenset({0, 4, 7}): "j_T",
         frozenset({0, 3, 4, 7}): "j_P",
@@ -194,11 +196,8 @@ def lt_topologies() -> tuple[LTTopology, ...]:
     }
     named: list[tuple[str, tuple[int, ...]]] = []
     chromatic = []
-    idx = _omega_index()
     for images in survivors:
-        carrier = frozenset(
-            z for z in range(MOD) if images[idx[chi.table[z]]] == n - 1
-        )
+        carrier = _top_preimage(chi, images)
         if carrier in by_upgrade:
             named.append((by_upgrade[carrier], images))
         else:
@@ -209,7 +208,7 @@ def lt_topologies() -> tuple[LTTopology, ...]:
     named += [("j_C", chromatic[0]), ("j_F", chromatic[1])]
     order = ("j_T", "j_P", "j_L", "j_R", "j_C", "j_F")
     return tuple(
-        LTTopology(name, tuple((names[i], names[img]) for i, img in enumerate(images)))
+        LTTopology(name, images)
         for name, images in sorted(named, key=lambda pair: order.index(pair[0]))
     )
 
@@ -223,37 +222,37 @@ def topology_by_name(name: str) -> LTTopology:
 
 @dataclass(frozen=True)
 class CharMorphism:
-    """The classifying map of a closed pitch set: z -> ideal name."""
+    """The classifying map of a closed pitch set: z -> Omega index."""
 
     subset: frozenset[int]
-    table: tuple[str, ...]  # index = pitch class, value = Omega name
+    indices: tuple[int, ...]  # index = pitch class, value = Omega index
+
+    @property
+    def table(self) -> tuple[str, ...]:
+        """The Omega names, by pitch class."""
+        ideals = left_ideals()
+        return tuple([ideals[i].name for i in self.indices])  # a list: see maximal_cover
 
     def __call__(self, z: int) -> OmegaElement:
-        return omega_by_name(self.table[z % MOD])
+        return left_ideals()[self.indices[z % MOD]]
 
 
 def characteristic_morphism(d: frozenset[int], action: MonoidAction) -> CharMorphism:
     """chi(z) = {m : m.z in d}; equivariant, with chi^{-1}(T) = d."""
-    if not is_closed(d, action):
+    mask = mask_of(d)
+    if action.closure_mask(mask) != mask:
         raise NotClosedError(f"{format_pcset(d)} is not closed under the action")
-    monoid = action.monoid
-    by_members = {o.members: o.name for o in left_ideals()}
-    table = []
-    for z in range(MOD):
-        members = frozenset(m for m in monoid.labels if action.act_label(m, z) in d)
-        try:
-            table.append(by_members[members])
-        except KeyError:
-            raise AssertionError(
-                f"classifier value at {z} is not a left ideal: {sorted(members)}"
-            ) from None
-    return CharMorphism(d, tuple(table))
+    # column z holds the image of z under each monoid element
+    indices = [  # a list, not a generator: see zmod.maximal_cover
+        _omega_of_members(mask_of(k for k, y in enumerate(column) if mask >> y & 1))
+        for column in zip(*action.images)
+    ]
+    return CharMorphism(d, tuple(indices))
 
 
 def upgrade(d: frozenset[int], action: MonoidAction, j: LTTopology) -> frozenset[int]:
     """Carrier of the j-upgrade: the preimage of the top ideal under j∘chi."""
-    chi = characteristic_morphism(d, action)
-    return frozenset(z for z in range(MOD) if j(chi.table[z]).name == "T")
+    return _top_preimage(characteristic_morphism(d, action).indices, j.images)
 
 
 def upgrade_table(

@@ -360,3 +360,53 @@ def test_real_rows_with_one_field_replaced(index, field, value):
         assert code == 0
     else:
         assert code in (0, 1)
+
+
+def reverse(field):
+    return lambda row: row[field].reverse()
+
+
+@pytest.mark.parametrize(
+    "mutate,problem",
+    [
+        (reverse("cover"), "stated cover is not the maximal cover in triad order"),
+        (reverse("subgroup_elements"),
+         "stated subgroup elements are not distinct labels in label order"),
+        (lambda row: row["subgroup_elements"].append("Id"),
+         "stated subgroup elements are not distinct labels in label order"),
+    ],
+)
+def test_verify_refuses_lists_enumerate_would_not_emit(capsys, monkeypatch, mutate, problem):
+    rows = json.loads(json.dumps(ENUMERATE_ROWS))
+    assert verify_stdin(capsys, monkeypatch, json.dumps(rows)) == (0, "OK: 7 rows verified\n", "")
+    mutate(rows[2])
+    code, out, err = verify_stdin(capsys, monkeypatch, json.dumps(rows))
+    assert (code, out) == (1, "")
+    assert err == f"row 2 (Hexatonic): {problem}\n"
+
+
+def test_verify_refuses_reordered_and_repeated_lists_together(capsys, monkeypatch):
+    rows = json.loads(json.dumps(ENUMERATE_ROWS))
+    for mutate in (reverse("cover"), reverse("subgroup_elements")):
+        mutate(rows[2])
+    rows[2]["subgroup_elements"].append("Id")
+    code, out, err = verify_stdin(capsys, monkeypatch, json.dumps(rows))
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 2 and all(l.startswith("row 2 (Hexatonic): ") for l in err.splitlines())
+
+
+@pytest.mark.parametrize(
+    "argv,token",
+    [
+        (("chi", "--set", "0,4,7", "--conjugate", "T03"), "'T03'"),
+        (("chi", "--set", "0,4,7", "--conjugate", "I٣"), "'I٣'"),
+        (("chi", "--set", "07,4,0"), "'07,4,0'"),
+        (("chi", "--set", "٠,٤,٧"), "'٠,٤,٧'"),
+        (("chi", "--set", "+0,4,7"), "'+0,4,7'"),
+        (("chi", "--set=-0,4,7"), "'-0,4,7'"),
+    ],
+)
+def test_non_canonical_argument_is_usage_error(capsys, argv, token):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: malformed ") and token in err and err.count("\n") == 1
