@@ -31,29 +31,35 @@ class SearchBoundExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class Carrier:
-    """An ordered finite set of distinct points."""
+    """An ordered finite set of distinct points, with a point -> index dict."""
 
     points: tuple[Point, ...]
+    _index: dict[Point, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(set(self.points)) != len(self.points):
+        object.__setattr__(self, "_index", {p: i for i, p in enumerate(self.points)})
+        if len(self._index) != len(self.points):
             raise ValueError("carrier points must be distinct")
 
     def index(self, point: Point) -> int:
-        return self.points.index(point)
+        try:
+            return self._index[point]
+        except KeyError:
+            raise ValueError(f"{point!r} is not on the carrier") from None
 
     def __len__(self) -> int:
         return len(self.points)
 
     def __contains__(self, point: Point) -> bool:
-        return point in self.points
+        return point in self._index
 
 
 @dataclass(frozen=True)
 class Permutation:
     """A bijection of a carrier, stored as an index table.
 
-    The label is display metadata only; equality and hashing ignore it.
+    Keyed by its image table: it hashes as `images` and equality compares
+    `images`, then the carriers.  The label is display metadata only.
     """
 
     carrier: Carrier
@@ -63,6 +69,16 @@ class Permutation:
     def __post_init__(self):
         if sorted(self.images) != list(range(len(self.carrier))):
             raise ValueError("image table is not a bijection")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Permutation):
+            return NotImplemented
+        return self.images == other.images and (
+            self.carrier is other.carrier or self.carrier == other.carrier
+        )
+
+    def __hash__(self) -> int:
+        return hash(self.images)
 
     @classmethod
     def from_function(
@@ -188,20 +204,19 @@ def close_generators(
     for g in gens:
         if g.carrier != carrier:
             raise CarrierMismatchError("generators live on different carriers")
+    tables = [g.images for g in gens]
     identity = Permutation.identity(carrier)
-    elements = {identity}
-    frontier = [identity]
+    frontier = {identity.images}
+    seen = set(frontier)
     while frontier:
-        nxt = []
-        for p in frontier:
-            for g in gens:
-                q = g * p
-                if q not in elements:
-                    elements.add(q)
-                    nxt.append(q)
-        frontier = nxt
+        # one breadth-first level on raw image tables: (g * p)[i] = g[p[i]]
+        frontier = {tuple([g[i] for i in p]) for p in frontier for g in tables} - seen
+        seen |= frontier
+    seen.discard(identity.images)
     # generator closure of a finite carrier is inverse-closed automatically
-    return PermGroup(carrier, frozenset(elements))
+    return PermGroup(
+        carrier, frozenset([identity] + [Permutation(carrier, q) for q in seen])
+    )
 
 
 def orbit(group: PermGroup, point: Point) -> frozenset[Point]:

@@ -258,8 +258,9 @@ def upgrade(d: frozenset[int], action: MonoidAction, j: LTTopology) -> frozenset
 def upgrade_table(
     d: frozenset[int], action: MonoidAction
 ) -> list[tuple[str, frozenset[int]]]:
-    """(topology name, upgrade carrier) for all six topologies."""
-    return [(j.name, upgrade(d, action, j)) for j in lt_topologies()]
+    """(topology name, upgrade carrier) for all six topologies, from one χ."""
+    chi = characteristic_morphism(d, action).indices
+    return [(j.name, _top_preimage(chi, j.images)) for j in lt_topologies()]
 
 
 def conjugated_upgrades(phi: AffineMap):

@@ -1,13 +1,16 @@
-"""Differential tests: the mask and integer-table kernels against the slow,
-obvious definitions, over the complete finite domains (all 4096 pitch
-sets, all 24 T/I conjugators, all 6^6 endo-maps of Omega)."""
+"""Differential tests: the mask, integer-table and image-tuple kernels
+against the slow, obvious definitions, over the complete finite domains
+(all 4096 pitch sets, all 24 T/I conjugators, all 6^6 endo-maps of Omega,
+all ordered generator pairs of the PLR and T/I groups)."""
 
 import itertools
 
 import pytest
 
 from test_zmod import _cover_oracle
+from triadtopos.duality import plr_group, ti_group
 from triadtopos.monoid import closure, conjugated_action, is_closed, triadic_monoid
+from triadtopos.permgroup import Permutation, close_generators
 from triadtopos.topos import (
     _is_topology,
     characteristic_morphism,
@@ -16,6 +19,7 @@ from triadtopos.topos import (
     omega_action_table,
     omega_meet_table,
     upgrade,
+    upgrade_table,
 )
 from triadtopos.zmod import MOD, all_chords, maximal_cover, ti_group_maps, ti_name
 
@@ -69,9 +73,11 @@ def test_chi_and_upgrades_match_label_sets(phi):
     for d in closed:
         chi = [name_of[frozenset(l for l, t in labeled if t(z) in d)] for z in range(MOD)]
         assert characteristic_morphism(d, act).table == tuple(chi)
+        table = dict(upgrade_table(d, act))
         for j, mapping in mappings:
             expected = frozenset(z for z in range(MOD) if mapping[chi[z]] == "T")
             assert upgrade(d, act, j) == expected
+            assert table[j.name] == expected
 
 
 def name_keyed_omega():
@@ -117,3 +123,26 @@ def test_is_topology_matches_name_keyed_axioms_on_all_endo_maps():
         assert _is_topology(images) == axioms, images
         survivors += axioms
     assert survivors == 6
+
+
+def closure_of_permutations(gens, carrier):
+    """Breadth-first closure built from Permutation products g * p."""
+    elements = {Permutation.identity(carrier)}
+    frontier = list(elements)
+    while frontier:
+        frontier = [q for q in {g * p for p in frontier for g in gens} if q not in elements]
+        elements.update(frontier)
+    return elements
+
+
+@pytest.mark.parametrize("build", [plr_group, ti_group], ids=["PLR", "TI"])
+def test_close_generators_matches_permutation_products_on_all_pairs(build):
+    group = build()
+    elems = group.sorted_elements()
+    for gens in [[], *([a, b] for a in elems for b in elems)]:
+        got = close_generators(gens, group.carrier)
+        expected = closure_of_permutations(gens, group.carrier)
+        assert {p.images for p in got.elements} == {p.images for p in expected}
+        assert got.elements == expected
+        assert all(p.carrier is group.carrier for p in got.elements)
+        assert [p.label for p in got.elements if p.is_identity()] == ["Id"]

@@ -15,7 +15,7 @@ from triadtopos.permgroup import (
     is_simply_transitive,
     orbit,
 )
-from triadtopos.zmod import chord
+from triadtopos.zmod import all_chords, chord
 
 
 def small_carrier(n=3):
@@ -50,6 +50,44 @@ def test_commutes_with_matches_products(ti, plr):
             assert p.commutes_with(q) == ((p * q).images == (q * p).images)
     with pytest.raises(CarrierMismatchError):
         plr_named("P").commutes_with(Permutation.identity(small_carrier(24)))
+
+
+def test_equal_images_on_equal_carriers_are_equal():
+    a, b = small_carrier(3), small_carrier(3)
+    assert a is not b
+    p, q = Permutation(a, (1, 2, 0)), Permutation(b, (1, 2, 0))
+    assert p == q and hash(p) == hash(q)
+    assert len({p, q}) == 1
+    twin = Carrier(all_chords())
+    assert plr_named("P") == Permutation(twin, plr_named("P").images)
+
+
+def test_equal_images_on_different_carriers_are_unequal():
+    p = Permutation(small_carrier(3), (1, 2, 0))
+    q = Permutation(Carrier(("x", "y", "z")), (1, 2, 0))
+    assert p != q
+    assert len({p, q}) == 2
+    assert p != p.images
+
+
+def test_label_never_affects_equality():
+    c = small_carrier(3)
+    p, q = Permutation(c, (1, 2, 0), "a"), Permutation(c, (1, 2, 0), "b")
+    assert p == q and hash(p) == hash(q)
+    assert p == p.relabeled(None)
+    assert Permutation(c, (1, 0, 2), "a") != p
+
+
+def test_foreign_point_is_refused():
+    c = small_carrier(3)
+    assert c.index(2) == 2 and 2 in c
+    assert 3 not in c
+    with pytest.raises(ValueError):
+        c.index(3)
+    with pytest.raises(ValueError):
+        CHORD_CARRIER.index("C")
+    with pytest.raises(ValueError):
+        orbit(close_generators([], c), 3)
 
 
 def test_cycle_notation():

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from triadtopos import enumeration, topos
+from triadtopos import duality, enumeration, permgroup, topos
 
 
 def clear_caches():
@@ -54,3 +54,11 @@ def test_left_ideal_scan_checks_all_256_subsets(cold, monkeypatch):
     results = count_calls(monkeypatch, topos, "_is_left_ideal")
     assert len(topos.left_ideals()) == 6
     assert (len(results), sum(results)) == (2**8, 6)
+
+
+@pytest.mark.parametrize("build", [duality.plr_group, duality.ti_group], ids=["PLR", "TI"])
+def test_all_subgroups_closes_the_trivial_group_and_all_576_pairs(cold, monkeypatch, build):
+    group = build()
+    results = count_calls(monkeypatch, permgroup, "close_generators")
+    assert len(permgroup.all_subgroups(group)) == 34
+    assert (len(results), len({sub.elements for sub in results})) == (1 + 24**2, 34)
