@@ -251,7 +251,9 @@ def subgroup_name(group: PermGroup) -> str:
 
 
 def relabel_from(group: PermGroup, labeled: PermGroup) -> PermGroup:
-    """Replace each element with its labeled twin from another group."""
+    """Replace each element with its labeled twin from another group.
+    Unused here (`close_generators(..., within)` keeps labels); kept while
+    `bench/tracer.py` spans it by name."""
     by_images = {p.images: p for p in labeled.elements}
     return PermGroup(
         group.carrier, frozenset(by_images.get(p.images, p) for p in group.elements)
@@ -261,8 +263,7 @@ def relabel_from(group: PermGroup, labeled: PermGroup) -> PermGroup:
 def plr_subgroup(*names: str) -> PermGroup:
     """The subgroup of the PLR group generated by the named elements,
     with computed Q_k / PQ_k labels."""
-    sub = close_generators([plr_named(n) for n in names], CHORD_CARRIER)
-    return relabel_from(sub, plr_group())
+    return close_generators([plr_named(n) for n in names], CHORD_CARRIER, plr_group())
 
 
 def plr_named(name: str) -> Permutation:

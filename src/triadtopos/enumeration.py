@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .duality import in_label_order, plr_group, plr_named, relabel_from, subgroup_name, ti_group
+from .duality import in_label_order, plr_group, plr_named, subgroup_name, ti_group
 from .monoid import MonoidAction, closure, is_closed, natural_action
 from .permgroup import PermGroup, all_subgroups, close_generators, is_simply_transitive
 from .zmod import MOD, Chord, all_chords, chord, maximal_cover, pcset, pitches_of
@@ -56,8 +56,7 @@ def closed_covered_sets() -> list[frozenset[int]]:
 def enumerate_rows() -> list[EnumerationRow]:
     """One row per (closed covered carrier, simply transitive PLR subgroup
     on its maximal cover) pair; exactly seven survive."""
-    plr = plr_group()
-    subgroups = [relabel_from(s, plr) for s in all_subgroups(plr)]
+    subgroups = all_subgroups(plr_group())
     rows = []
     for carrier in closed_covered_sets():
         cover, _ = maximal_cover(carrier)
@@ -135,8 +134,9 @@ def case_audit() -> CaseAudit:
     case1 = []
     for i in (0, 1, 2, 3, 4, 6):
         gens = [p] if i == 0 else [p, plr_named(f"Q{i}")]
-        sub = relabel_from(close_generators(gens, plr.carrier), plr)
-        c_orbit = tuple(c for c in all_chords() if c in {q(chord("C")) for q in sub.elements})
+        sub = close_generators(gens, plr.carrier, plr)
+        c_images = {q(chord("C")) for q in sub.elements}
+        c_orbit = tuple(c for c in all_chords() if c in c_images)
         union = frozenset().union(*(c.pitches() for c in c_orbit))
         cover, _ = maximal_cover(union)
         case1.append(
@@ -156,7 +156,7 @@ def case_audit() -> CaseAudit:
 
     ti = ti_group()
     candidates = []
-    for sub in (relabel_from(s, ti) for s in all_subgroups(ti)):
+    for sub in all_subgroups(ti):
         if len(sub) == 1:
             continue
         labels = frozenset(q.label for q in sub.elements)

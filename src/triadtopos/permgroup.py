@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Callable, Hashable, Iterable, Optional
 
 Point = Hashable
@@ -161,8 +162,11 @@ class PermGroup:
 
     def __post_init__(self):
         for p in self.elements:
-            if p.carrier != self.carrier:
+            if p.carrier is not self.carrier and p.carrier != self.carrier:
                 raise CarrierMismatchError("group element on wrong carrier")
+
+    def __hash__(self) -> int:
+        return hash(self.elements)  # a frozenset keeps its hash once computed
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -171,7 +175,8 @@ class PermGroup:
         return p in self.elements
 
     def __le__(self, other: "PermGroup") -> bool:
-        return self.carrier == other.carrier and self.elements <= other.elements
+        same = self.carrier is other.carrier or self.carrier == other.carrier
+        return same and self.elements <= other.elements
 
     def sorted_elements(self) -> tuple[Permutation, ...]:
         return tuple(sorted(self.elements, key=lambda p: p.images))
@@ -193,10 +198,29 @@ class PermGroup:
 
 
 def close_generators(
-    gens: Iterable[Permutation], carrier: Carrier | None = None
+    gens: Iterable[Permutation], carrier: Carrier | None = None, within: PermGroup | None = None
 ) -> PermGroup:
-    """Smallest group containing the generators (and the identity)."""
+    """Smallest group containing the generators (and the identity).
+
+    Given an ambient group `within` that holds the generators, the search runs
+    on element indices over its Cayley table and returns its own elements."""
     gens = list(gens)
+    if within is not None:
+        if carrier is not None and carrier != within.carrier:
+            raise CarrierMismatchError("ambient group lives on a different carrier")
+        elements, index, table, identity = _cayley(within)
+        picked = [index.get(g.images) for g in gens]
+        if any(i is None or elements[i] != g for i, g in zip(picked, gens)):
+            raise ValueError("generator is not in the ambient group")
+        rows = [table[i] for i in picked]
+        mask, found = 1 << identity, [identity]
+        for p in found:  # the loop also visits the elements appended below
+            for row in rows:
+                q = row[p]
+                if not mask >> q & 1:
+                    mask |= 1 << q
+                    found.append(q)
+        return _mask_subgroup(within, mask)
     if carrier is None:
         if not gens:
             raise ValueError("cannot infer a carrier from an empty generator set")
@@ -217,6 +241,30 @@ def close_generators(
     return PermGroup(
         carrier, frozenset([identity] + [Permutation(carrier, q) for q in seen])
     )
+
+
+@cache
+def _cayley(group: PermGroup):
+    """(elements in `sorted_elements` order, their index by image table,
+    table[i][j] = index of elements[i] * elements[j], identity index), built
+    once.  Keyed by value: equal groups share the first one's elements."""
+    elements = group.sorted_elements()
+    index = {p.images: i for i, p in enumerate(elements)}
+    try:
+        table = tuple(
+            tuple(index[tuple([p.images[j] for j in q.images])] for q in elements)
+            for p in elements
+        )
+        return elements, index, table, index[tuple(range(len(group.carrier)))]
+    except KeyError:
+        raise ValueError("ambient group is not a group") from None
+
+
+@cache
+def _mask_subgroup(group: PermGroup, mask: int) -> PermGroup:
+    """The subgroup whose Cayley-table indices are set in `mask`, built once."""
+    elements = _cayley(group)[0]
+    return PermGroup(group.carrier, frozenset(p for i, p in enumerate(elements) if mask >> i & 1))
 
 
 def orbit(group: PermGroup, point: Point) -> frozenset[Point]:
@@ -266,7 +314,8 @@ def all_subgroups(group: PermGroup) -> list[PermGroup]:
 
     Sufficient for the dihedral-type groups this library works with
     (every subgroup is 2-generated); the test suite cross-checks with a
-    3-generator sweep.
+    3-generator sweep.  The closures run on element masks over the group's
+    Cayley table; subgroups are sorted by order, then by element indices.
     """
     if len(group) > SUBGROUP_MAX_ORDER:
         raise SearchBoundExceeded(
@@ -274,14 +323,9 @@ def all_subgroups(group: PermGroup) -> list[PermGroup]:
             f"got {len(group)}"
         )
     elems = group.sorted_elements()
-    seen: dict[frozenset[Permutation], PermGroup] = {}
-    trivial = close_generators([], group.carrier)
-    seen[trivial.elements] = trivial
+    found = {close_generators([], group.carrier, group)}
     for a in elems:
         for b in elems:
-            sub = close_generators([a, b], group.carrier)
-            seen.setdefault(sub.elements, sub)
-    return sorted(
-        seen.values(),
-        key=lambda g: (len(g), tuple(p.images for p in g.sorted_elements())),
-    )
+            found.add(close_generators([a, b], group.carrier, group))
+    index = _cayley(group)[1]
+    return sorted(found, key=lambda g: (len(g), sorted([index[p.images] for p in g.elements])))

@@ -267,20 +267,15 @@ def conjugated_upgrades(phi: AffineMap):
     """Rows (topology, carrier, maximal cover, PLR subgroup name) for the
     j_P / j_L / j_R upgrades of phi({0,4,7}) under the phi-conjugated
     action; carriers are computed directly and equal the phi-images of
-    the natural upgrades."""
-    act = conjugated_action(phi)
-    seed = phi.apply_set(pcset({0, 4, 7}))
-    subgroup_names = {"j_P": "<P>", "j_L": "<P,L>", "j_R": "<P,R>"}
+    the natural upgrades.  Two χ computations in all, one per path."""
+    seed = pcset({0, 4, 7})
+    conjugated = dict(upgrade_table(phi.apply_set(seed), conjugated_action(phi)))
+    natural = dict(upgrade_table(seed, natural_action()))
     rows = []
-    for j in lt_topologies():
-        if j.name not in subgroup_names:
-            continue
-        carrier = upgrade(seed, act, j)
-        direct = phi.apply_set(upgrade(pcset({0, 4, 7}), natural_action(), j))
-        if carrier != direct:
-            raise AssertionError(
-                f"two-path upgrade mismatch for {j.name} at phi={phi}"
-            )
+    for name, subgroup in (("j_P", "<P>"), ("j_L", "<P,L>"), ("j_R", "<P,R>")):
+        carrier = conjugated[name]
+        if carrier != phi.apply_set(natural[name]):
+            raise AssertionError(f"two-path upgrade mismatch for {name} at phi={phi}")
         cover, _ = maximal_cover(carrier)
-        rows.append((j.name, carrier, cover, subgroup_names[j.name]))
+        rows.append((name, carrier, cover, subgroup))
     return rows

@@ -4,7 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from triadtopos import duality, monoid, topos
+from triadtopos import duality, monoid, permgroup, topos
 
 CACHED_BUILDERS = (
     duality.ti_group,
@@ -43,6 +43,17 @@ def test_import_builds_no_cached_value():
         [sys.executable, "-c", CACHE_SIZES], capture_output=True, text=True, env=env, check=True
     )
     sizes = json.loads(proc.stdout)
-    for builder in CACHED_BUILDERS:
+    for builder in CACHED_BUILDERS + (permgroup._cayley, permgroup._mask_subgroup):
         assert sizes[f"{builder.__module__}.{builder.__name__}"] == 0
     assert set(sizes.values()) == {0}
+
+
+def test_all_subgroups_builds_one_table_and_wraps_each_subgroup_once():
+    plr = duality.plr_group()
+    permgroup._cayley.cache_clear()
+    permgroup._mask_subgroup.cache_clear()
+    first = permgroup.all_subgroups(plr)
+    assert permgroup._cayley.cache_info().currsize == 1
+    assert permgroup._mask_subgroup.cache_info().currsize == 34
+    again = permgroup.all_subgroups(plr)
+    assert all(a is b for a, b in zip(first, again))

@@ -1,7 +1,8 @@
 """Differential tests: the mask, integer-table and image-tuple kernels
 against the slow, obvious definitions, over the complete finite domains
 (all 4096 pitch sets, all 24 T/I conjugators, all 6^6 endo-maps of Omega,
-all ordered generator pairs of the PLR and T/I groups)."""
+all ordered generator pairs of the PLR and T/I groups, closed on image
+tuples and on Cayley-table masks)."""
 
 import itertools
 
@@ -10,7 +11,7 @@ import pytest
 from test_zmod import _cover_oracle
 from triadtopos.duality import plr_group, ti_group
 from triadtopos.monoid import closure, conjugated_action, is_closed, triadic_monoid
-from triadtopos.permgroup import Permutation, close_generators
+from triadtopos.permgroup import Permutation, all_subgroups, close_generators
 from triadtopos.topos import (
     _is_topology,
     characteristic_morphism,
@@ -146,3 +147,36 @@ def test_close_generators_matches_permutation_products_on_all_pairs(build):
         assert got.elements == expected
         assert all(p.carrier is group.carrier for p in got.elements)
         assert [p.label for p in got.elements if p.is_identity()] == ["Id"]
+
+
+@pytest.mark.parametrize("build", [plr_group, ti_group], ids=["PLR", "TI"])
+def test_mask_closure_matches_tuple_closure_on_all_pairs(build):
+    """Closing inside the ambient group gives the tuple search's elements,
+    as the ambient group's own (labelled) objects."""
+    group = build()
+    own = {id(p) for p in group.elements}
+    elems = group.sorted_elements()
+    for gens in [[], *([a, b] for a in elems for b in elems)]:
+        got = close_generators(gens, group.carrier, group)
+        assert got.elements == close_generators(gens, group.carrier).elements
+        assert all(id(p) in own for p in got.elements)
+        assert got.carrier is group.carrier
+
+
+def tuple_subgroups(group):
+    """Every subgroup by tuple-searched pair closure, ordered by order and
+    then by the image tables of their sorted elements."""
+    elems = group.sorted_elements()
+    found = {close_generators([], group.carrier).elements}
+    found |= {close_generators([a, b], group.carrier).elements for a in elems for b in elems}
+    return sorted(found, key=lambda s: (len(s), sorted(p.images for p in s)))
+
+
+@pytest.mark.parametrize("build", [plr_group, ti_group], ids=["PLR", "TI"])
+def test_all_subgroups_matches_tuple_closure_reference(build):
+    group = build()
+    subgroups = all_subgroups(group)
+    assert [s.elements for s in subgroups] == tuple_subgroups(group)
+    assert len(subgroups) == 34
+    own = {id(p) for p in group.elements}
+    assert all(id(p) in own for s in subgroups for p in s.elements)

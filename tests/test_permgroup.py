@@ -78,6 +78,36 @@ def test_label_never_affects_equality():
     assert Permutation(c, (1, 0, 2), "a") != p
 
 
+def test_groups_on_equal_but_distinct_carriers():
+    a, b = small_carrier(3), small_carrier(3)
+    on_a = close_generators([Permutation(a, (1, 2, 0))])
+    on_b = PermGroup(a, frozenset(Permutation(b, p.images) for p in on_a.elements))
+    assert on_b.carrier is a and all(p.carrier is b for p in on_b.elements)
+    assert on_a == on_b and hash(on_a) == hash(on_b)
+    assert on_a <= on_b and on_b <= on_a
+    trivial = close_generators([], b)
+    assert trivial <= on_a and not on_a <= trivial
+    foreign = close_generators([Permutation(Carrier(("x", "y", "z")), (1, 2, 0))])
+    assert not foreign <= on_a
+    with pytest.raises(CarrierMismatchError):
+        PermGroup(a, foreign.elements)
+
+
+def test_close_generators_within_an_ambient_group(plr, ti):
+    pl = close_generators([plr_named("P"), plr_named("L")], None, plr)
+    assert pl.elements <= plr.elements and len(pl) == 6
+    assert {p.label for p in pl.elements} == {"Id", "P", "Q4", "Q8", "PQ4", "PQ8"}
+    assert close_generators([], None, ti).elements == {ti.identity()}
+    with pytest.raises(ValueError):
+        close_generators([plr_named("P")], None, ti)
+    with pytest.raises(ValueError):
+        close_generators([Permutation(small_carrier(24), plr_named("P").images)], None, plr)
+    with pytest.raises(CarrierMismatchError):
+        close_generators([], small_carrier(24), plr)
+    with pytest.raises(ValueError):
+        close_generators([], None, PermGroup(CHORD_CARRIER, frozenset({plr_named("P")})))
+
+
 def test_foreign_point_is_refused():
     c = small_carrier(3)
     assert c.index(2) == 2 and 2 in c

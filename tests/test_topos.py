@@ -257,6 +257,22 @@ def test_conjugated_upgrades_t1_and_i0():
     assert i0_rows["j_P"] == pcset({0, 9, 8, 5})
 
 
+def test_conjugated_upgrades_computes_chi_once_per_path(monkeypatch):
+    import triadtopos.topos as topos
+
+    lt_topologies()  # the scan's own χ is not counted
+    calls = []
+    original = topos.characteristic_morphism
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(topos, "characteristic_morphism", spy)
+    assert len(conjugated_upgrades(IDENTITY)) == 3
+    assert len(calls) == 2
+
+
 def test_conjugated_upgrade_covers_are_phi_images():
     from triadtopos.zmod import maximal_cover, transform_chord
 
