@@ -263,7 +263,7 @@ def relabel_from(group: PermGroup, labeled: PermGroup) -> PermGroup:
 def plr_subgroup(*names: str) -> PermGroup:
     """The subgroup of the PLR group generated by the named elements,
     with computed Q_k / PQ_k labels."""
-    return close_generators([plr_named(n) for n in names], CHORD_CARRIER, plr_group())
+    return close_generators([plr_named(n) for n in names], None, plr_group())
 
 
 def plr_named(name: str) -> Permutation:

@@ -134,7 +134,7 @@ def case_audit() -> CaseAudit:
     case1 = []
     for i in (0, 1, 2, 3, 4, 6):
         gens = [p] if i == 0 else [p, plr_named(f"Q{i}")]
-        sub = close_generators(gens, plr.carrier, plr)
+        sub = close_generators(gens, None, plr)
         c_images = {q(chord("C")) for q in sub.elements}
         c_orbit = tuple(c for c in all_chords() if c in c_images)
         union = frozenset().union(*(c.pitches() for c in c_orbit))

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cache
 from typing import Callable, Hashable, Iterable, Optional
 
 Point = Hashable
@@ -159,6 +158,7 @@ class PermGroup:
 
     carrier: Carrier
     elements: frozenset[Permutation]
+    _cayley: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for p in self.elements:
@@ -203,12 +203,13 @@ def close_generators(
     """Smallest group containing the generators (and the identity).
 
     Given an ambient group `within` that holds the generators, the search runs
-    on element indices over its Cayley table and returns its own elements."""
+    on element indices over its Cayley table and returns its own elements;
+    `carrier` may then be None, and must otherwise be `within.carrier`."""
     gens = list(gens)
     if within is not None:
-        if carrier is not None and carrier != within.carrier:
+        if carrier is not None and carrier is not within.carrier and carrier != within.carrier:
             raise CarrierMismatchError("ambient group lives on a different carrier")
-        elements, index, table, identity = _cayley(within)
+        elements, index, table, identity = _cayley_table(within)
         picked = [index.get(g.images) for g in gens]
         if any(i is None or elements[i] != g for i, g in zip(picked, gens)):
             raise ValueError("generator is not in the ambient group")
@@ -220,7 +221,7 @@ def close_generators(
                 if not mask >> q & 1:
                     mask |= 1 << q
                     found.append(q)
-        return _mask_subgroup(within, mask)
+        return PermGroup(within.carrier, frozenset([elements[i] for i in found]))
     if carrier is None:
         if not gens:
             raise ValueError("cannot infer a carrier from an empty generator set")
@@ -243,28 +244,23 @@ def close_generators(
     )
 
 
-@cache
-def _cayley(group: PermGroup):
+def _cayley_table(group: PermGroup):
     """(elements in `sorted_elements` order, their index by image table,
     table[i][j] = index of elements[i] * elements[j], identity index), built
-    once.  Keyed by value: equal groups share the first one's elements."""
-    elements = group.sorted_elements()
-    index = {p.images: i for i, p in enumerate(elements)}
-    try:
-        table = tuple(
-            tuple(index[tuple([p.images[j] for j in q.images])] for q in elements)
-            for p in elements
-        )
-        return elements, index, table, index[tuple(range(len(group.carrier)))]
-    except KeyError:
-        raise ValueError("ambient group is not a group") from None
-
-
-@cache
-def _mask_subgroup(group: PermGroup, mask: int) -> PermGroup:
-    """The subgroup whose Cayley-table indices are set in `mask`, built once."""
-    elements = _cayley(group)[0]
-    return PermGroup(group.carrier, frozenset(p for i, p in enumerate(elements) if mask >> i & 1))
+    on first use and kept on the group."""
+    if group._cayley is None:
+        elements = group.sorted_elements()
+        index = {p.images: i for i, p in enumerate(elements)}
+        try:
+            table = tuple(
+                tuple(index[tuple([p.images[j] for j in q.images])] for q in elements)
+                for p in elements
+            )
+            identity = index[tuple(range(len(group.carrier)))]
+        except KeyError:
+            raise ValueError("ambient group is not a group") from None
+        object.__setattr__(group, "_cayley", (elements, index, table, identity))
+    return group._cayley
 
 
 def orbit(group: PermGroup, point: Point) -> frozenset[Point]:
@@ -315,7 +311,9 @@ def all_subgroups(group: PermGroup) -> list[PermGroup]:
     Sufficient for the dihedral-type groups this library works with
     (every subgroup is 2-generated); the test suite cross-checks with a
     3-generator sweep.  The closures run on element masks over the group's
-    Cayley table; subgroups are sorted by order, then by element indices.
+    Cayley table, so each subgroup is made of the group's own elements,
+    labels included (an unlabelled identity stays unlabelled); subgroups are
+    sorted by order, then by element indices.
     """
     if len(group) > SUBGROUP_MAX_ORDER:
         raise SearchBoundExceeded(
@@ -323,9 +321,9 @@ def all_subgroups(group: PermGroup) -> list[PermGroup]:
             f"got {len(group)}"
         )
     elems = group.sorted_elements()
-    found = {close_generators([], group.carrier, group)}
+    found = {close_generators([], None, group)}
     for a in elems:
         for b in elems:
-            found.add(close_generators([a, b], group.carrier, group))
-    index = _cayley(group)[1]
+            found.add(close_generators([a, b], None, group))
+    index = _cayley_table(group)[1]
     return sorted(found, key=lambda g: (len(g), sorted([index[p.images] for p in g.elements])))

@@ -43,17 +43,18 @@ def test_import_builds_no_cached_value():
         [sys.executable, "-c", CACHE_SIZES], capture_output=True, text=True, env=env, check=True
     )
     sizes = json.loads(proc.stdout)
-    for builder in CACHED_BUILDERS + (permgroup._cayley, permgroup._mask_subgroup):
+    for builder in CACHED_BUILDERS:
         assert sizes[f"{builder.__module__}.{builder.__name__}"] == 0
     assert set(sizes.values()) == {0}
 
 
-def test_all_subgroups_builds_one_table_and_wraps_each_subgroup_once():
+def test_cayley_table_is_kept_on_the_group_object():
     plr = duality.plr_group()
-    permgroup._cayley.cache_clear()
-    permgroup._mask_subgroup.cache_clear()
     first = permgroup.all_subgroups(plr)
-    assert permgroup._cayley.cache_info().currsize == 1
-    assert permgroup._mask_subgroup.cache_info().currsize == 34
+    table = plr._cayley
+    assert table is not None
     again = permgroup.all_subgroups(plr)
-    assert all(a is b for a, b in zip(first, again))
+    assert plr._cayley is table
+    assert [s.elements for s in again] == [s.elements for s in first]
+    twin = permgroup.PermGroup(plr.carrier, plr.elements)
+    assert twin == plr and twin._cayley is None

@@ -1,4 +1,4 @@
-from triadtopos.duality import plr_group, sub_dual, ti_group
+from triadtopos.duality import dual_group, plr_group, plr_subgroup, sub_dual, ti_group
 from triadtopos.enumeration import (
     CARRIER_NAMES,
     case_audit,
@@ -6,7 +6,7 @@ from triadtopos.enumeration import (
     enumerate_rows,
 )
 from triadtopos.monoid import is_closed, natural_action
-from triadtopos.permgroup import is_simply_transitive
+from triadtopos.permgroup import all_subgroups, is_simply_transitive
 from triadtopos.zmod import chord, maximal_cover, pcset
 
 HEX_UNION_OCT = pcset({0, 1, 3, 4, 6, 7, 8, 9, 10, 11})
@@ -44,6 +44,22 @@ def test_exactly_seven_rows():
         "Prometheus Tritone Mixture",
         "Chromatic Scale",
     ]
+
+
+def test_an_equal_group_with_other_labels_does_not_relabel_the_plr_group():
+    """The dual of T/I at C equals the PLR group but is labelled ρ(...);
+    each group's subgroups keep that group's own labels, in either order."""
+    dual = dual_group(ti_group(), chord("C"))
+    assert dual == plr_group()
+    assert all(p.label.startswith("ρ(") for s in all_subgroups(dual) for p in s.elements)
+    assert {p.label for p in plr_subgroup("P", "L").elements} == {
+        "Id", "P", "Q4", "Q8", "PQ4", "PQ8"
+    }
+    assert [r.subgroup_name for r in enumerate_rows()] == [
+        "{Id}", "{Id,P}", "<P,L>", "<P,R>", "{Id,Q6}", "{Id,Q6,Sl,Q6Sl}", "PLR-group"
+    ]
+    assert len(case_audit().case1) == 6
+    assert all(p.label.startswith("ρ(") for s in all_subgroups(dual) for p in s.elements)
 
 
 def test_row_carriers_covers_subgroups():

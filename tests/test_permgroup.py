@@ -204,6 +204,18 @@ def test_double_centralizer_contains_group():
     assert z4.elements <= centralizer_brute(cent).elements
 
 
+def test_all_subgroups_of_an_unlabelled_group_keep_its_elements():
+    c = small_carrier(4)
+    z4 = close_generators([Permutation(c, (1, 2, 3, 0))])
+    bare = PermGroup(c, frozenset(Permutation(c, p.images) for p in z4.elements))
+    subs = all_subgroups(bare)
+    assert [len(s) for s in subs] == [1, 2, 4]
+    own = {id(p) for p in bare.elements}
+    assert all(id(p) in own for s in subs for p in s.elements)
+    (identity,) = subs[0].elements
+    assert identity.label is None and str(identity) == "()"
+
+
 def test_all_subgroups_plr_count(plr):
     subs = all_subgroups(plr)
     assert len(subs) == 34  # d(12) + sigma(12) = 6 + 28
