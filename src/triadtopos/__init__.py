@@ -3,7 +3,7 @@ and its subobject-classifier / Lawvere-Tierney machinery."""
 
 from .zmod import AffineMap, Chord, chord, all_chords, maximal_cover, pcset
 from .permgroup import Carrier, PermGroup, Permutation, close_generators, orbit
-from .duality import dual_group, plr_group, plr_named, sub_dual, ti_group, verify_dual
+from .duality import dual_group, plr_group, plr_named, plr_subgroup, sub_dual, ti_group, verify_dual
 from .monoid import conjugated_action, is_closed, natural_action, triadic_monoid
 from .topos import (
     characteristic_morphism,
@@ -39,6 +39,7 @@ __all__ = [
     "pcset",
     "plr_group",
     "plr_named",
+    "plr_subgroup",
     "sub_dual",
     "ti_group",
     "triadic_monoid",

@@ -143,7 +143,7 @@ def _system_json(sys_: duality.SubDualSystem) -> dict:
 
 
 def dual_payload(args) -> dict:
-    g0 = duality.plr_subgroup_named(args.group)
+    g0 = duality.plr_subgroup(*args.group)
     return _system_json(sub_dual(plr_group(), ti_group(), g0, chord(args.seed)))
 
 
@@ -160,7 +160,7 @@ def dual_text(payload, args) -> str:
 
 
 def systems_payload(args) -> list:
-    g0 = duality.plr_subgroup_named(args.group)
+    g0 = duality.plr_subgroup(*args.group)
     return [_system_json(s) for s in duality.all_orbits(plr_group(), ti_group(), g0)]
 
 

@@ -17,9 +17,9 @@ from .permgroup import (
     PermGroup,
     Permutation,
     Point,
-    REGULAR_MAX_ORDER,
-    SearchBoundExceeded,
+    SEARCH_BOUNDS,
     centralizer_brute,
+    check_bound,
     close_generators,
     is_simply_transitive,
     orbit,
@@ -109,11 +109,7 @@ class AbstractGroup:
 def regular_representations(g: AbstractGroup) -> tuple[PermGroup, PermGroup]:
     """Left and right regular representations of g on its own elements:
     lambda_a(h) = a*h and rho_a(h) = h*a^{-1}."""
-    n = len(g.labels)
-    if n > REGULAR_MAX_ORDER:
-        raise SearchBoundExceeded(
-            f"regular representations bounded at order {REGULAR_MAX_ORDER}, got {n}"
-        )
+    check_bound("regular representations", len(g.labels))
     carrier = Carrier(g.labels)
     lam = frozenset(
         Permutation(carrier, tuple(g.table[a]), f"λ({label})")
@@ -167,7 +163,7 @@ def dual_group(g: PermGroup, s0: Point) -> PermGroup:
 def verify_dual(g: PermGroup, h: PermGroup) -> bool:
     """Simply transitive + elementwise commuting, which on a shared carrier
     makes g and h mutual centralizers; cross-checked by brute force on
-    carriers of at most 8 points."""
+    carriers within the "centralizer" search bound."""
     if g.carrier != h.carrier:
         raise CarrierMismatchError("dual groups must share a carrier")
     pts = g.carrier.points
@@ -175,7 +171,7 @@ def verify_dual(g: PermGroup, h: PermGroup) -> bool:
         return False
     if not all(p.commutes_with(q) for p in g.elements for q in h.elements):
         return False
-    if len(pts) <= 8:
+    if len(pts) <= SEARCH_BOUNDS["centralizer"]:
         if centralizer_brute(g).elements != h.elements:
             return False
         if centralizer_brute(h).elements != g.elements:
@@ -203,7 +199,7 @@ SUBGROUP_NAMES = {
 }
 
 #: Conventional names of PLR elements other than their labels.
-_PLR_ALIASES = {"L": "PQ4", "R": "PQ9"}
+_PLR_ALIASES = {"L": "PQ4", "R": "PQ9", "Q0": "Id"}
 
 
 @cache
@@ -267,7 +263,8 @@ def plr_subgroup(*names: str) -> PermGroup:
 
 
 def plr_named(name: str) -> Permutation:
-    """PLR-group elements by conventional name: P, L, R, Id, Qk, PQk, Sl.
+    """PLR-group elements by conventional name: the labels Id, Q1..Q11,
+    P, PQ1..PQ11, their aliases L, R and Q0 (= Id), and the slide Sl.
 
     P, L, R act as right multiplication by I_7, I_11, I_4; the slide Sl
     holds the third of a triad fixed and moves root and fifth by a
@@ -281,21 +278,9 @@ def plr_named(name: str) -> Permutation:
 
         return Permutation.from_function(CHORD_CARRIER, slide, "Sl")
     label = _PLR_ALIASES.get(name, name)
-    if name.startswith("Q") and name[1:].isdigit():
-        label = Q_LABELS[int(name[1:]) % MOD]
     if label not in plr_by_label():
         raise ValueError(f"unknown PLR element name {name!r}")
     return plr_by_label()[label].relabeled(name)
-
-
-def plr_subgroup_named(name: str) -> PermGroup:
-    """<P,L>, <P,R> or the whole PLR group, named by generator letters
-    "PL", "PR" or "PLR"."""
-    if name == "PLR":
-        return plr_group()
-    if name in ("PL", "PR"):
-        return plr_subgroup(*name)
-    raise ValueError(f"unknown group {name!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .duality import in_label_order, plr_group, plr_named, subgroup_name, ti_group
+from .duality import in_label_order, plr_group, plr_subgroup, subgroup_name, ti_group
 from .monoid import MonoidAction, closure, is_closed, natural_action
-from .permgroup import PermGroup, all_subgroups, close_generators, is_simply_transitive
+from .permgroup import PermGroup, all_subgroups, is_simply_transitive, orbit
 from .zmod import MOD, Chord, all_chords, chord, maximal_cover, pcset, pitches_of
 
 #: Fixed names for the carriers the enumeration discovers.
@@ -128,14 +128,11 @@ def _forced_parallel_pair(extra_pitch: int) -> tuple[str, str]:
 def case_audit() -> CaseAudit:
     """Machine replay of the two-case argument behind the enumeration."""
     act = natural_action()
-    plr = plr_group()
-    p = plr_named("P")
 
     case1 = []
     for i in (0, 1, 2, 3, 4, 6):
-        gens = [p] if i == 0 else [p, plr_named(f"Q{i}")]
-        sub = close_generators(gens, None, plr)
-        c_images = {q(chord("C")) for q in sub.elements}
+        sub = plr_subgroup("P", f"Q{i}")
+        c_images = orbit(sub, chord("C"))
         c_orbit = tuple(c for c in all_chords() if c in c_images)
         union = frozenset().union(*(c.pitches() for c in c_orbit))
         cover, _ = maximal_cover(union)
@@ -163,7 +160,7 @@ def case_audit() -> CaseAudit:
         transpositions = {l for l in labels if l.startswith("T")}
         if not transpositions <= {"T0", "T6"}:
             continue
-        c_orbit = {q(chord("C")) for q in sub.elements}
+        c_orbit = orbit(sub, chord("C"))
         union = frozenset().union(*(c.pitches() for c in c_orbit))
         if union & {3, 5, 9}:
             continue

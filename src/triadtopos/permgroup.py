@@ -16,9 +16,9 @@ from typing import Callable, Hashable, Iterable, Optional
 
 Point = Hashable
 
-CENTRALIZER_MAX_POINTS = 8
-SUBGROUP_MAX_ORDER = 48
-REGULAR_MAX_ORDER = 24
+#: Size bound of each exhaustive search: a centralizer exhausts Sym(carrier),
+#: so its bound is the carrier size; the other two are bounded by group order.
+SEARCH_BOUNDS = {"centralizer": 8, "subgroups": 48, "regular representations": 24}
 
 
 class CarrierMismatchError(ValueError):
@@ -27,6 +27,13 @@ class CarrierMismatchError(ValueError):
 
 class SearchBoundExceeded(RuntimeError):
     """Raised when an exhaustive search would exceed its size bound."""
+
+
+def check_bound(search: str, size: int) -> None:
+    """Refuse a search of the given size above its SEARCH_BOUNDS entry."""
+    bound = SEARCH_BOUNDS[search]
+    if size > bound:
+        raise SearchBoundExceeded(f"{search} search bounded at size {bound}, got {size}")
 
 
 @dataclass(frozen=True)
@@ -94,22 +101,17 @@ class Permutation:
     def __call__(self, point: Point) -> Point:
         return self.carrier.points[self.images[self.carrier.index(point)]]
 
-    def compose(self, inner: "Permutation", label: str | None = None) -> "Permutation":
+    def __mul__(self, inner: "Permutation") -> "Permutation":
         """self after inner."""
         if self.carrier != inner.carrier:
             raise CarrierMismatchError("cannot compose permutations on different carriers")
-        return Permutation(
-            self.carrier, tuple(self.images[j] for j in inner.images), label
-        )
+        return Permutation(self.carrier, tuple(self.images[j] for j in inner.images))
 
-    def __mul__(self, inner: "Permutation") -> "Permutation":
-        return self.compose(inner)
-
-    def inverse(self, label: str | None = None) -> "Permutation":
+    def inverse(self) -> "Permutation":
         inv = [0] * len(self.images)
         for i, j in enumerate(self.images):
             inv[j] = i
-        return Permutation(self.carrier, tuple(inv), label)
+        return Permutation(self.carrier, tuple(inv))
 
     def relabeled(self, label: str | None) -> "Permutation":
         return Permutation(self.carrier, self.images, label)
@@ -287,13 +289,10 @@ def is_simply_transitive(group: PermGroup, subset: Iterable[Point]) -> bool:
 
 def centralizer_brute(group: PermGroup) -> PermGroup:
     """All permutations of the carrier commuting with every group element,
-    found by exhausting Sym(carrier).  Refuses carriers larger than 8."""
+    found by exhausting Sym(carrier).  Refuses carriers above the
+    "centralizer" bound."""
     n = len(group.carrier)
-    if n > CENTRALIZER_MAX_POINTS:
-        raise SearchBoundExceeded(
-            f"centralizer search exhausts {n}! permutations; "
-            f"bound is carrier size {CENTRALIZER_MAX_POINTS}"
-        )
+    check_bound("centralizer", n)
     elems = list(group.elements)
     found = []
     for images in itertools.permutations(range(n)):
@@ -315,11 +314,7 @@ def all_subgroups(group: PermGroup) -> list[PermGroup]:
     labels included (an unlabelled identity stays unlabelled); subgroups are
     sorted by order, then by element indices.
     """
-    if len(group) > SUBGROUP_MAX_ORDER:
-        raise SearchBoundExceeded(
-            f"subgroup enumeration bounded at order {SUBGROUP_MAX_ORDER}, "
-            f"got {len(group)}"
-        )
+    check_bound("subgroups", len(group))
     elems = group.sorted_elements()
     found = {close_generators([], None, group)}
     for a in elems:

@@ -113,7 +113,7 @@ class Quality(Enum):
     MINOR = "minor"
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class Chord:
     """A consonant triad: (root, quality)."""
 

@@ -397,3 +397,43 @@ def test_all_orbits_octatonic(ti, plr):
 def test_all_orbits_full_group(ti, plr):
     systems = all_orbits(plr, ti, plr)
     assert len(systems) == 1
+
+
+def test_regular_representations_run_at_their_bound_and_refuse_one_order_more():
+    lam, rho = regular_representations(AbstractGroup.cyclic(24))
+    assert len(lam) == len(rho) == 24
+    with pytest.raises(
+        SearchBoundExceeded, match="regular representations search bounded at size 24, got 25"
+    ):
+        regular_representations(AbstractGroup.cyclic(25))
+
+
+@pytest.mark.parametrize("n, brute_calls", [(8, 2), (9, 0)])
+def test_verify_dual_brute_force_cross_check_stops_at_the_centralizer_bound(
+    monkeypatch, n, brute_calls
+):
+    import triadtopos.duality as duality
+
+    calls = []
+
+    def spy(group):
+        calls.append(group)
+        return centralizer_brute(group)
+
+    monkeypatch.setattr(duality, "centralizer_brute", spy)
+    assert verify_dual(*regular_representations(AbstractGroup.cyclic(n)))
+    assert len(calls) == brute_calls
+
+
+def test_plr_named_resolves_the_labels_and_aliases(plr):
+    labels = [p.label for p in plr.elements]
+    assert len(set(labels)) == 24
+    for name in labels + ["L", "R", "Q0", "Sl"]:
+        p = plr_named(name)
+        assert p in plr and p.label == name
+
+
+@pytest.mark.parametrize("name", ["Q12", "Q15", "Q03", "Q٣", "PQ12", ""])
+def test_plr_named_refuses_names_outside_the_labels(name):
+    with pytest.raises(ValueError, match="unknown PLR element name"):
+        plr_named(name)

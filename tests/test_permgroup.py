@@ -268,3 +268,27 @@ def test_group_union_of_subgroup_elements(plr):
     for s in all_subgroups(plr):
         union |= s.elements
     assert union == set(plr.elements)
+
+
+def _cyclic(n):
+    c = small_carrier(n)
+    return close_generators([Permutation(c, tuple((i + 1) % n for i in range(n)))])
+
+
+def test_centralizer_runs_at_its_bound_and_refuses_one_point_more():
+    z8 = _cyclic(8)
+    assert centralizer_brute(z8).elements == z8.elements  # 8! candidates
+    with pytest.raises(SearchBoundExceeded, match="centralizer search bounded at size 8, got 9"):
+        centralizer_brute(close_generators([], small_carrier(9)))
+
+
+def test_all_subgroups_runs_at_its_bound_and_refuses_one_order_more():
+    c = small_carrier(24)
+    rotation = Permutation(c, tuple((i + 1) % 24 for i in range(24)))
+    reflection = Permutation(c, tuple(-i % 24 for i in range(24)))
+    d24 = close_generators([rotation, reflection])
+    assert len(d24) == 48
+    assert len(all_subgroups(d24)) == 68  # d(24) + sigma(24) = 8 + 60
+    z49 = _cyclic(49)
+    with pytest.raises(SearchBoundExceeded, match="subgroups search bounded at size 48, got 49"):
+        all_subgroups(z49)

@@ -106,6 +106,15 @@ def test_chord_pitches_injective():
         assert chord_from_pitches(c.pitches()) == c
 
 
+def test_chords_are_unordered_but_compare_and_hash_by_value():
+    for a in all_chords():
+        for b in all_chords():
+            with pytest.raises(TypeError):
+                a < b
+    assert chord("C") == Chord(12, Quality.MAJOR) != chord("c")
+    assert hash(chord("Eb")) == hash((3, Quality.MAJOR))
+
+
 def test_ti_maps_send_triads_to_triads():
     for a in ti_group_maps():
         for c in all_chords():
