@@ -6,11 +6,11 @@ the T/I and PLR groups on the 24 triads, and sub-dual systems.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import cache
 from types import MappingProxyType
 from typing import Mapping
 
+from ._value import Value
 from .permgroup import (
     Carrier,
     CarrierMismatchError,
@@ -51,39 +51,37 @@ class NotCommutingError(ValueError):
         )
 
 
-@dataclass(frozen=True)
-class AbstractGroup:
+class AbstractGroup(Value):
     """A group given by element labels and a multiplication table
     (table[i][j] = index of element i * element j)."""
 
-    labels: tuple[str, ...]
-    table: tuple[tuple[int, ...], ...]
-    identity: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("labels", "table", "identity")
+    _fields = ("labels", "table")
 
-    def __post_init__(self):
-        n = len(self.labels)
+    def __init__(self, labels: tuple[str, ...], table: tuple[tuple[int, ...], ...]):
+        n = len(labels)
         rng = range(n)
-        if len(self.table) != n or any(len(row) != n for row in self.table):
+        if len(table) != n or any(len(row) != n for row in table):
             raise ValueError("multiplication table has wrong shape")
-        if any(self.table[i][j] not in rng for i in rng for j in rng):
+        if any(table[i][j] not in rng for i in rng for j in rng):
             raise ValueError("multiplication table entry out of range")
         # identity
         identity = None
         for e in rng:
-            if all(self.table[e][x] == x == self.table[x][e] for x in rng):
+            if all(table[e][x] == x == table[x][e] for x in rng):
                 identity = e
         if identity is None:
             raise ValueError("table has no identity element")
-        object.__setattr__(self, "identity", identity)
         # inverses: each row must hit the identity
-        if any(identity not in self.table[i] for i in rng):
+        if any(identity not in table[i] for i in rng):
             raise ValueError("table has an element without an inverse")
         # associativity
         for i in rng:
             for j in rng:
                 for k in rng:
-                    if self.table[self.table[i][j]][k] != self.table[i][self.table[j][k]]:
+                    if table[table[i][j]][k] != table[i][table[j][k]]:
                         raise ValueError("multiplication table is not associative")
+        self._set(labels, table, identity)
 
     def inverse(self, i: int) -> int:
         return self.table[i].index(self.identity)
@@ -199,7 +197,7 @@ SUBGROUP_NAMES = {
 }
 
 #: Conventional names of PLR elements other than their labels.
-_PLR_ALIASES = {"L": "PQ4", "R": "PQ9", "Q0": "Id"}
+_PLR_ALIASES = {"L": "PQ4", "R": "PQ9", "Q0": "Id", "Sl": "PQ1"}
 
 
 @cache
@@ -267,16 +265,9 @@ def plr_named(name: str) -> Permutation:
     P, PQ1..PQ11, their aliases L, R and Q0 (= Id), and the slide Sl.
 
     P, L, R act as right multiplication by I_7, I_11, I_4; the slide Sl
-    holds the third of a triad fixed and moves root and fifth by a
+    (= PQ1) holds the third of a triad fixed and moves root and fifth by a
     semitone (up for majors, down for minors).
     """
-    if name == "Sl":
-        def slide(c: Chord) -> Chord:
-            shift = 1 if c.quality is Quality.MAJOR else -1
-            flip = Quality.MINOR if c.quality is Quality.MAJOR else Quality.MAJOR
-            return Chord((c.root + shift) % MOD, flip)
-
-        return Permutation.from_function(CHORD_CARRIER, slide, "Sl")
     label = _PLR_ALIASES.get(name, name)
     if label not in plr_by_label():
         raise ValueError(f"unknown PLR element name {name!r}")
@@ -288,20 +279,15 @@ def plr_named(name: str) -> Permutation:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SubDualSystem:
-    """The data of a sub-dual pair: a subgroup g0 of g, a base point s0,
-    its orbit s0_orbit, and the partner h0 = {h in h : h(s0) in orbit},
-    together with the restrictions of both to the orbit."""
+class SubDualSystem(Value):
+    """The data of a sub-dual pair of PermGroups: a subgroup g0 of g, a base
+    point s0, its orbit `points` (in carrier order), the partner
+    h0 = {h in h : h(s0) in orbit} and the restrictions of both to the orbit."""
 
-    g: PermGroup
-    h: PermGroup
-    g0: PermGroup
-    s0: Point
-    points: tuple[Point, ...]  # the orbit, in carrier order
-    h0: PermGroup
-    g0_restricted: PermGroup
-    h0_restricted: PermGroup
+    __slots__ = _fields = ("g", "h", "g0", "s0", "points", "h0", "g0_restricted", "h0_restricted")
+
+    def __init__(self, g, h, g0, s0, points, h0, g0_restricted, h0_restricted):
+        self._set(g, h, g0, s0, points, h0, g0_restricted, h0_restricted)
 
     @property
     def restricted_carrier(self) -> Carrier:

@@ -5,12 +5,13 @@ machine replay of the supporting case analysis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
 
+from ._value import Value
 from .duality import in_label_order, plr_group, plr_subgroup, subgroup_name, ti_group
 from .monoid import MonoidAction, closure, is_closed, natural_action
-from .permgroup import PermGroup, all_subgroups, is_simply_transitive, orbit
-from .zmod import MOD, Chord, all_chords, chord, maximal_cover, pcset, pitches_of
+from .permgroup import all_subgroups, is_simply_transitive, orbit
+from .zmod import MOD, all_chords, chord, maximal_cover, pcset
 
 #: Fixed names for the carriers the enumeration discovers.
 CARRIER_NAMES = {
@@ -24,33 +25,32 @@ CARRIER_NAMES = {
 }
 
 
-@dataclass(frozen=True)
-class EnumerationRow:
-    carrier: frozenset[int]
-    type_label: str
-    cover: tuple[Chord, ...]
-    subgroup: PermGroup
+class EnumerationRow(Value):
+    """A carrier, its type label, its maximal cover and a simply transitive subgroup on it."""
+
+    __slots__ = _fields = ("carrier", "type_label", "cover", "subgroup")
+
+    def __init__(self, carrier, type_label, cover, subgroup):
+        self._set(carrier, type_label, cover, subgroup)
 
     @property
     def subgroup_name(self) -> str:
         return subgroup_name(self.subgroup)
 
 
-def _is_closed_covered(mask: int, action: MonoidAction) -> bool:
-    """Whether the pitch set with this mask is closed under the action and
-    covered by the triads it contains.  The public `is_closed` runs once
-    per candidate, so a trace of it counts the whole scan."""
-    s = pitches_of(mask)
+def _is_closed_covered(s: frozenset[int], action: MonoidAction) -> bool:
+    """Whether the pitch set is closed under the action and covered by the
+    triads it contains.  The public `is_closed` runs once per candidate,
+    so a trace of it counts the whole scan."""
     return is_closed(s, action) and maximal_cover(s)[1]
 
 
 def closed_covered_sets() -> list[frozenset[int]]:
     """All nonempty pitch sets closed under the natural monoid action and
-    covered by their contained triads, scanning all 2^12 - 1 masks."""
+    covered by their contained triads, scanning all 2^12 - 1 sets by size, then members."""
     act = natural_action()
-    out = [pitches_of(mask) for mask in range(1, 1 << MOD) if _is_closed_covered(mask, act)]
-    out.sort(key=lambda s: (len(s), sorted(s)))
-    return out
+    sets = (frozenset(c) for k in range(1, MOD + 1) for c in itertools.combinations(range(MOD), k))
+    return [s for s in sets if _is_closed_covered(s, act)]
 
 
 def enumerate_rows() -> list[EnumerationRow]:
@@ -80,30 +80,36 @@ def enumerate_rows() -> list[EnumerationRow]:
     return rows
 
 
-@dataclass(frozen=True)
-class Case1Line:
-    generator_index: int  # the i of <P, Q_i>
-    subgroup: PermGroup
-    c_orbit: tuple[Chord, ...]
-    pitch_union: frozenset[int]
-    closed: bool
-    simply_transitive_on_max_cover: bool
+class Case1Line(Value):
+    """Case 1 for <P, Q_i>, i = generator_index: the orbit of C and its pitch union."""
+
+    __slots__ = _fields = ("generator_index", "subgroup", "c_orbit", "pitch_union", "closed",
+                           "simply_transitive_on_max_cover")
+
+    def __init__(self, generator_index, subgroup, c_orbit, pitch_union, closed,
+                 simply_transitive_on_max_cover):
+        self._set(generator_index, subgroup, c_orbit, pitch_union, closed,
+                  simply_transitive_on_max_cover)
 
     @property
     def name(self) -> str:
         return f"<P,Q{self.generator_index}>" if self.generator_index else "<P>"
 
 
-@dataclass(frozen=True)
-class Case2Report:
-    excluded_pitches: dict[int, tuple[str, str]]  # pitch -> forced parallel pair
-    h_candidates: tuple[tuple[str, ...], ...]
+class Case2Report(Value):
+    """Case 2: each excluded pitch's forced parallel pair, and the candidates."""
+
+    __slots__ = _fields = ("excluded_pitches", "h_candidates")
+
+    def __init__(self, excluded_pitches, h_candidates):
+        self._set(excluded_pitches, h_candidates)
 
 
-@dataclass(frozen=True)
-class CaseAudit:
-    case1: tuple[Case1Line, ...]
-    case2: Case2Report
+class CaseAudit(Value):
+    __slots__ = _fields = ("case1", "case2")
+
+    def __init__(self, case1: tuple[Case1Line, ...], case2: Case2Report):
+        self._set(case1, case2)
 
 
 def _forced_parallel_pair(extra_pitch: int) -> tuple[str, str]:

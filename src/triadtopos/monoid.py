@@ -8,9 +8,9 @@ constants 0, 4, 7.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cache
 
+from ._value import Value
 from .zmod import IDENTITY, MOD, AffineMap, mask_of, pitches_of
 
 F = AffineMap(3, 7)
@@ -30,20 +30,16 @@ _LABELED = {
 }
 
 
-@dataclass(frozen=True)
-class TriadicMonoid:
-    """The triadic monoid: labeled elements plus the composition table."""
+class TriadicMonoid(Value):
+    """The triadic monoid: labeled elements plus the composition table;
+    products[o][i] is the index of maps[o]∘maps[i] (maps[i] applied first)."""
 
-    labels: tuple[str, ...]
-    maps: tuple[AffineMap, ...]
-    #: products[o][i] is the index of maps[o]∘maps[i] (maps[i] applied first).
-    products: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("labels", "maps", "products")
+    _fields = ("labels", "maps")
 
-    def __post_init__(self):
-        products = tuple(
-            tuple(self.maps.index(o.compose(i)) for i in self.maps) for o in self.maps
-        )
-        object.__setattr__(self, "products", products)
+    def __init__(self, labels: tuple[str, ...], maps: tuple[AffineMap, ...]):
+        products = tuple(tuple(maps.index(o.compose(i)) for i in maps) for o in maps)
+        self._set(labels, maps, products)
 
     def element(self, label: str) -> AffineMap:
         return self.maps[self.labels.index(label)]
@@ -76,24 +72,20 @@ def triadic_monoid() -> TriadicMonoid:
     return TriadicMonoid(ELEMENT_LABELS, tuple(_LABELED[l] for l in ELEMENT_LABELS))
 
 
-@dataclass(frozen=True)
-class MonoidAction:
+class MonoidAction(Value):
     """The triadic monoid acting on Z_12, optionally conjugated: with
     conjugator phi, an element t acts as phi∘t∘phi^{-1}.
 
     `images[k][z]` is the image of z under the k-th monoid element, and
     `orbits[z]` is the pitch mask of z's orbit; both are built once."""
 
-    monoid: TriadicMonoid
-    conjugator: AffineMap = IDENTITY
-    images: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    orbits: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("monoid", "conjugator", "images", "orbits")
+    _fields = ("monoid", "conjugator")
 
-    def __post_init__(self):
-        phi, inv = self.conjugator, self.conjugator.inverse()
-        images = tuple(tuple(phi(t(inv(z))) for z in range(MOD)) for t in self.monoid)
-        object.__setattr__(self, "images", images)
-        object.__setattr__(self, "orbits", tuple(mask_of(col) for col in zip(*images)))
+    def __init__(self, monoid: TriadicMonoid, conjugator: AffineMap = IDENTITY):
+        phi, inv = conjugator, conjugator.inverse()
+        images = tuple(tuple(phi(t(inv(z))) for z in range(MOD)) for t in monoid)
+        self._set(monoid, conjugator, images, tuple(mask_of(col) for col in zip(*images)))
 
     def act(self, t: AffineMap, z: int) -> int:
         return self.images[self.monoid.maps.index(t)][z % MOD]

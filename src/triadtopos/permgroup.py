@@ -11,8 +11,9 @@ factor acts first.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterable, Optional
+
+from ._value import Value
 
 Point = Hashable
 
@@ -36,16 +37,15 @@ def check_bound(search: str, size: int) -> None:
         raise SearchBoundExceeded(f"{search} search bounded at size {bound}, got {size}")
 
 
-@dataclass(frozen=True)
-class Carrier:
+class Carrier(Value):
     """An ordered finite set of distinct points, with a point -> index dict."""
 
-    points: tuple[Point, ...]
-    _index: dict[Point, int] = field(init=False, repr=False, compare=False)
+    __slots__ = ("points", "_index")
+    _fields = ("points",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_index", {p: i for i, p in enumerate(self.points)})
-        if len(self._index) != len(self.points):
+    def __init__(self, points: tuple[Point, ...]):
+        self._set(points, {p: i for i, p in enumerate(points)})
+        if len(self._index) != len(points):
             raise ValueError("carrier points must be distinct")
 
     def index(self, point: Point) -> int:
@@ -61,21 +61,22 @@ class Carrier:
         return point in self._index
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(Value):
     """A bijection of a carrier, stored as an index table.
 
     Keyed by its image table: it hashes as `images` and equality compares
     `images`, then the carriers.  The label is display metadata only.
     """
 
-    carrier: Carrier
-    images: tuple[int, ...]
-    label: Optional[str] = field(default=None, compare=False)
+    __slots__ = ("carrier", "images", "label")
+    _fields = ("carrier", "images")
 
-    def __post_init__(self):
-        if sorted(self.images) != list(range(len(self.carrier))):
+    def __init__(self, carrier: Carrier, images: tuple[int, ...], label: Optional[str] = None):
+        if sorted(images) != list(range(len(carrier))):
             raise ValueError("image table is not a bijection")
+        object.__setattr__(self, "carrier", carrier)
+        object.__setattr__(self, "images", images)
+        object.__setattr__(self, "label", label)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Permutation):
@@ -103,7 +104,7 @@ class Permutation:
 
     def __mul__(self, inner: "Permutation") -> "Permutation":
         """self after inner."""
-        if self.carrier != inner.carrier:
+        if self.carrier is not inner.carrier and self.carrier != inner.carrier:
             raise CarrierMismatchError("cannot compose permutations on different carriers")
         return Permutation(self.carrier, tuple(self.images[j] for j in inner.images))
 
@@ -121,7 +122,7 @@ class Permutation:
 
     def commutes_with(self, other: "Permutation") -> bool:
         """self * other == other * self, checked without building either product."""
-        if self.carrier != other.carrier:
+        if self.carrier is not other.carrier and self.carrier != other.carrier:
             raise CarrierMismatchError("cannot compose permutations on different carriers")
         p, q = self.images, other.images
         return [p[x] for x in q] == [q[x] for x in p]
@@ -154,18 +155,19 @@ class Permutation:
         return self.label if self.label is not None else self.cycle_notation()
 
 
-@dataclass(frozen=True)
-class PermGroup:
+class PermGroup(Value):
     """A finite set of permutations closed under composition and inverse."""
 
-    carrier: Carrier
-    elements: frozenset[Permutation]
-    _cayley: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("carrier", "elements", "_cayley")
+    _fields = ("carrier", "elements")
 
-    def __post_init__(self):
-        for p in self.elements:
-            if p.carrier is not self.carrier and p.carrier != self.carrier:
+    def __init__(self, carrier: Carrier, elements: frozenset[Permutation]):
+        for p in elements:
+            if p.carrier is not carrier and p.carrier != carrier:
                 raise CarrierMismatchError("group element on wrong carrier")
+        object.__setattr__(self, "carrier", carrier)
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "_cayley", None)
 
     def __hash__(self) -> int:
         return hash(self.elements)  # a frozenset keeps its hash once computed

@@ -10,9 +10,9 @@ all 6^6 endo-maps.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cache
 
+from ._value import Value
 from .monoid import (
     MonoidAction,
     TriadicMonoid,
@@ -25,12 +25,13 @@ from .zmod import MOD, AffineMap, format_pcset, mask_of, maximal_cover, pcset
 EMPTY_NAME = "∅"
 
 
-@dataclass(frozen=True)
-class OmegaElement:
+class OmegaElement(Value):
     """A left ideal of the triadic monoid, as a set of element labels."""
 
-    name: str
-    members: frozenset[str]
+    __slots__ = _fields = ("name", "members")
+
+    def __init__(self, name: str, members: frozenset[str]):
+        self._set(name, members)
 
     def __contains__(self, label: str) -> bool:
         return label in self.members
@@ -125,13 +126,14 @@ def omega_action(m_label: str, b: OmegaElement) -> OmegaElement:
     return left_ideals()[omega_action_table()[m][_omega_index()[b.name]]]
 
 
-@dataclass(frozen=True)
-class LTTopology:
+class LTTopology(Value):
     """An equivariant, top-fixing, idempotent, meet-preserving endo-map
     of Omega: images[i] is the Omega index of j(B_i)."""
 
-    name: str
-    images: tuple[int, ...]
+    __slots__ = _fields = ("name", "images")
+
+    def __init__(self, name: str, images: tuple[int, ...]):
+        self._set(name, images)
 
     def __call__(self, b: OmegaElement | str) -> OmegaElement:
         key = b if isinstance(b, str) else b.name
@@ -220,12 +222,13 @@ def topology_by_name(name: str) -> LTTopology:
     raise ValueError(f"unknown topology {name!r}")
 
 
-@dataclass(frozen=True)
-class CharMorphism:
+class CharMorphism(Value):
     """The classifying map of a closed pitch set: z -> Omega index."""
 
-    subset: frozenset[int]
-    indices: tuple[int, ...]  # index = pitch class, value = Omega index
+    __slots__ = _fields = ("subset", "indices")
+
+    def __init__(self, subset: frozenset[int], indices: tuple[int, ...]):
+        self._set(subset, indices)  # index = pitch class, value = Omega index
 
     @property
     def table(self) -> tuple[str, ...]:

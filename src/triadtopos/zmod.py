@@ -7,10 +7,11 @@ immutable and every operation is pure.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 from functools import cache
 from typing import Iterable
+
+from ._value import Value
 
 MOD = 12
 
@@ -25,16 +26,21 @@ _ROOT_INDEX = {name: i for i, name in enumerate(ROOT_NAMES)}
 UNITS = frozenset({1, 5, 7, 11})
 
 
-@dataclass(frozen=True)
-class AffineMap:
+class AffineMap(Value):
     """The map z -> m*z + b on Z_12, canonicalized mod 12."""
 
-    m: int
-    b: int
+    __slots__ = _fields = ("m", "b")
 
-    def __post_init__(self):
-        object.__setattr__(self, "m", self.m % MOD)
-        object.__setattr__(self, "b", self.b % MOD)
+    def __init__(self, m: int, b: int):
+        self._set(m % MOD, b % MOD)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not AffineMap:
+            return NotImplemented
+        return self.m == other.m and self.b == other.b
+
+    def __hash__(self) -> int:
+        return hash((self.m, self.b))
 
     def __call__(self, z: int) -> int:
         return (self.m * z + self.b) % MOD
@@ -113,15 +119,21 @@ class Quality(Enum):
     MINOR = "minor"
 
 
-@dataclass(frozen=True)
-class Chord:
+class Chord(Value):
     """A consonant triad: (root, quality)."""
 
-    root: int
-    quality: Quality
+    __slots__ = _fields = ("root", "quality")
 
-    def __post_init__(self):
-        object.__setattr__(self, "root", self.root % MOD)
+    def __init__(self, root: int, quality: Quality):
+        self._set(root % MOD, quality)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Chord:
+            return NotImplemented
+        return self.root == other.root and self.quality is other.quality
+
+    def __hash__(self) -> int:
+        return hash((self.root, self.quality))
 
     @property
     def name(self) -> str:

@@ -171,6 +171,22 @@ def test_slide_is_p_q1():
     assert plr_named("Sl")(chord("C")) == chord("db")
 
 
+def test_slide_holds_the_third_and_moves_root_and_fifth_a_semitone():
+    """The slide's definition, checked on all 24 triads: the third is held,
+    and root and fifth move a semitone, up for majors and down for minors."""
+    slide = plr_named("Sl")
+    assert slide.label == "Sl"
+
+    def third(c):
+        return (c.root + (4 if c.quality is Quality.MAJOR else 3)) % 12
+
+    for x in CHORDS:
+        y = slide(x)
+        step = 1 if x.quality is Quality.MAJOR else -1
+        assert third(y) == third(x)
+        assert y.pitches() == {(x.root + step) % 12, third(x), (x.root + 7 + step) % 12}
+
+
 def test_slide_orbit_closed():
     sub = close_generators([plr_named("Q6"), plr_named("Sl")], CHORD_CARRIER)
     assert len(sub) == 4
