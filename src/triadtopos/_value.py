@@ -4,10 +4,21 @@
 class Value:
     """A `__slots__` value compared, hashed and shown by its `_fields`; other
     slots hold labels or derived data.  No attribute can be assigned or deleted:
-    `__init__` sets them with `_set` (in `__slots__` order) or `object.__setattr__`."""
+    `_set` stores the slots in `__slots__` order, for `__init__` (the generic one
+    below, or a class's own that checks or derives data) and for copy and pickle."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+
+    def __init__(self, *args, **kwargs):
+        """Store the slots in order, by position or by keyword."""
+        names = self.__slots__
+        if kwargs:
+            args += tuple([kwargs.pop(name) for name in names[len(args):] if name in kwargs])
+        if len(args) != len(names) or kwargs:
+            raise TypeError(f"{type(self).__name__} takes each of {', '.join(names)} once;"
+                            f" got {len(args)} values and unused keywords {sorted(kwargs)}")
+        self._set(*args)
 
     def _set(self, *values) -> None:
         for name, value in zip(self.__slots__, values):
@@ -28,9 +39,11 @@ class Value:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__name__}({fields})"
 
-    def __setstate__(self, state):
-        for name, value in state[1].items():  # from copy and pickle: (None, {slot: value})
-            object.__setattr__(self, name, value)
+    def __getstate__(self) -> tuple:  # protocols 0 and 1 refuse __slots__ without it
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __setstate__(self, state: tuple) -> None:
+        self._set(*state)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to {type(self).__name__}.{name}")

@@ -286,9 +286,6 @@ class SubDualSystem(Value):
 
     __slots__ = _fields = ("g", "h", "g0", "s0", "points", "h0", "g0_restricted", "h0_restricted")
 
-    def __init__(self, g, h, g0, s0, points, h0, g0_restricted, h0_restricted):
-        self._set(g, h, g0, s0, points, h0, g0_restricted, h0_restricted)
-
     @property
     def restricted_carrier(self) -> Carrier:
         return self.g0_restricted.carrier

@@ -30,9 +30,6 @@ class EnumerationRow(Value):
 
     __slots__ = _fields = ("carrier", "type_label", "cover", "subgroup")
 
-    def __init__(self, carrier, type_label, cover, subgroup):
-        self._set(carrier, type_label, cover, subgroup)
-
     @property
     def subgroup_name(self) -> str:
         return subgroup_name(self.subgroup)
@@ -81,15 +78,11 @@ def enumerate_rows() -> list[EnumerationRow]:
 
 
 class Case1Line(Value):
-    """Case 1 for <P, Q_i>, i = generator_index: the orbit of C and its pitch union."""
+    """Case 1 for <P, Q_i>, i = generator_index: the orbit of C and its pitch union.
+    `name` keeps the audit's <P>, <P,Q1>, ...: `subgroup_name` says {Id,P}, PLR-group, ..."""
 
     __slots__ = _fields = ("generator_index", "subgroup", "c_orbit", "pitch_union", "closed",
                            "simply_transitive_on_max_cover")
-
-    def __init__(self, generator_index, subgroup, c_orbit, pitch_union, closed,
-                 simply_transitive_on_max_cover):
-        self._set(generator_index, subgroup, c_orbit, pitch_union, closed,
-                  simply_transitive_on_max_cover)
 
     @property
     def name(self) -> str:
@@ -101,15 +94,9 @@ class Case2Report(Value):
 
     __slots__ = _fields = ("excluded_pitches", "h_candidates")
 
-    def __init__(self, excluded_pitches, h_candidates):
-        self._set(excluded_pitches, h_candidates)
-
 
 class CaseAudit(Value):
     __slots__ = _fields = ("case1", "case2")
-
-    def __init__(self, case1: tuple[Case1Line, ...], case2: Case2Report):
-        self._set(case1, case2)
 
 
 def _forced_parallel_pair(extra_pitch: int) -> tuple[str, str]:

@@ -74,9 +74,7 @@ class Permutation(Value):
     def __init__(self, carrier: Carrier, images: tuple[int, ...], label: Optional[str] = None):
         if sorted(images) != list(range(len(carrier))):
             raise ValueError("image table is not a bijection")
-        object.__setattr__(self, "carrier", carrier)
-        object.__setattr__(self, "images", images)
-        object.__setattr__(self, "label", label)
+        self._set(carrier, images, label)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Permutation):
@@ -165,9 +163,7 @@ class PermGroup(Value):
         for p in elements:
             if p.carrier is not carrier and p.carrier != carrier:
                 raise CarrierMismatchError("group element on wrong carrier")
-        object.__setattr__(self, "carrier", carrier)
-        object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "_cayley", None)
+        self._set(carrier, elements, None)
 
     def __hash__(self) -> int:
         return hash(self.elements)  # a frozenset keeps its hash once computed

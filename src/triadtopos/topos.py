@@ -30,9 +30,6 @@ class OmegaElement(Value):
 
     __slots__ = _fields = ("name", "members")
 
-    def __init__(self, name: str, members: frozenset[str]):
-        self._set(name, members)
-
     def __contains__(self, label: str) -> bool:
         return label in self.members
 
@@ -75,9 +72,11 @@ def left_ideals() -> tuple[OmegaElement, ...]:
     return tuple(OmegaElement(names[s], s) for s in found)
 
 
-@cache
-def _omega_index() -> dict[str, int]:
-    return {o.name: i for i, o in enumerate(left_ideals())}
+def _omega_index(name: str) -> int:
+    for i, o in enumerate(left_ideals()):
+        if o.name == name:
+            return i
+    raise ValueError(f"unknown Omega element {name!r}")
 
 
 @cache
@@ -96,7 +95,7 @@ def _omega_of_members(bits: int) -> int:
 
 
 def omega_by_name(name: str) -> OmegaElement:
-    return left_ideals()[_omega_index()[name]]
+    return left_ideals()[_omega_index(name)]
 
 
 @cache
@@ -122,8 +121,10 @@ def omega_meet_table() -> tuple[tuple[int, ...], ...]:
 
 def omega_action(m_label: str, b: OmegaElement) -> OmegaElement:
     """The classifier action: m . B = {n : n∘m in B}."""
-    m = triadic_monoid().labels.index(m_label)
-    return left_ideals()[omega_action_table()[m][_omega_index()[b.name]]]
+    labels = triadic_monoid().labels
+    if m_label not in labels:
+        raise ValueError(f"unknown monoid element {m_label!r}")
+    return left_ideals()[omega_action_table()[labels.index(m_label)][_omega_index(b.name)]]
 
 
 class LTTopology(Value):
@@ -132,12 +133,9 @@ class LTTopology(Value):
 
     __slots__ = _fields = ("name", "images")
 
-    def __init__(self, name: str, images: tuple[int, ...]):
-        self._set(name, images)
-
     def __call__(self, b: OmegaElement | str) -> OmegaElement:
         key = b if isinstance(b, str) else b.name
-        return left_ideals()[self.images[_omega_index()[key]]]
+        return left_ideals()[self.images[_omega_index(key)]]
 
     @property
     def table(self) -> tuple[tuple[str, str], ...]:
@@ -223,12 +221,9 @@ def topology_by_name(name: str) -> LTTopology:
 
 
 class CharMorphism(Value):
-    """The classifying map of a closed pitch set: z -> Omega index."""
+    """The classifying map of a closed pitch set: indices[z] is z's Omega index."""
 
     __slots__ = _fields = ("subset", "indices")
-
-    def __init__(self, subset: frozenset[int], indices: tuple[int, ...]):
-        self._set(subset, indices)  # index = pitch class, value = Omega index
 
     @property
     def table(self) -> tuple[str, ...]:

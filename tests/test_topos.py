@@ -79,6 +79,17 @@ def test_omega_action_examples():
     assert omega_action("f", omega_by_name("C")) == omega_by_name("R")
 
 
+def test_unknown_omega_and_monoid_names_raise_value_errors_naming_them():
+    lookups = {
+        "'X'": lambda: omega_by_name("X"),
+        "'Y'": lambda: lt_topologies()[0]("Y"),
+        "'zz'": lambda: omega_action("zz", omega_by_name("C")),
+    }
+    for name, lookup in lookups.items():
+        with pytest.raises(ValueError, match=name):
+            lookup()
+
+
 def test_omega_action_well_defined_and_axiom():
     m = triadic_monoid()
     ideals = left_ideals()

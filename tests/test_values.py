@@ -114,6 +114,14 @@ UNHASHABLE = {Case2Report, CaseAudit}
 
 ALL = pytest.mark.parametrize("cls", list(VALUES), ids=lambda cls: cls.__name__)
 
+#: The records whose constructor only stores its fields: `Value.__init__`.
+PLAIN = pytest.mark.parametrize(
+    "cls",
+    [SubDualSystem, EnumerationRow, Case1Line, Case2Report, CaseAudit, OmegaElement, LTTopology,
+     CharMorphism],
+    ids=lambda cls: cls.__name__,
+)
+
 
 @ALL
 def test_equal_fields_give_equal_values_and_hashes(cls):
@@ -156,9 +164,39 @@ def test_attributes_can_be_neither_assigned_nor_deleted(cls):
 @ALL
 def test_copy_and_pickle_restore_every_slot(cls):
     value = VALUES[cls][0]()
-    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+    pickled = [pickle.loads(pickle.dumps(value, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for twin in (copy.copy(value), copy.deepcopy(value), *pickled):
         assert type(twin) is cls and twin == value
         assert [getattr(twin, n) for n in cls.__slots__] == [getattr(value, n) for n in cls.__slots__]
+
+
+@PLAIN
+def test_plain_records_are_built_by_position_or_by_keyword(cls):
+    assert "__init__" not in vars(cls)
+    value = VALUES[cls][0]()
+    slots = [getattr(value, n) for n in cls.__slots__]
+    by_name = dict(zip(cls.__slots__, slots))
+    rest = dict(zip(cls.__slots__[1:], slots[1:]))
+    for twin in (cls(*slots), cls(**by_name), cls(slots[0], **rest)):
+        assert type(twin) is cls and twin == value
+        assert [getattr(twin, n) for n in cls.__slots__] == slots
+
+
+@PLAIN
+def test_plain_records_refuse_a_missing_unknown_doubled_or_extra_field(cls):
+    value = VALUES[cls][0]()
+    slots = [getattr(value, n) for n in cls.__slots__]
+    by_name = dict(zip(cls.__slots__, slots))
+    calls = {
+        "missing": (slots[:-1], {}),
+        "missing keyword": ((), dict(zip(cls.__slots__[1:], slots[1:]))),
+        "unknown keyword": (slots, {"extra": None}),
+        "doubled": (slots[:1], by_name),
+        "extra positional": ([*slots, None], {}),
+    }
+    for args, kwargs in calls.values():
+        with pytest.raises(TypeError, match=rf"{cls.__name__} takes .*\b{cls.__slots__[-1]}\b"):
+            cls(*args, **kwargs)
 
 
 def test_reprs_that_error_messages_print_are_unchanged():
