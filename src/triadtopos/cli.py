@@ -68,7 +68,8 @@ def monoid_text(payload, args) -> str:
     for e in payload["elements"]:
         lines.append(f"  {e['label'].ljust(2)}  m={e['m']:<2} b={e['b']}")
     lines += ["", "Composition table (row∘column, column applied first):"]
-    lines.append(monoid.render_composition_table(triadic_monoid()))
+    labels = [e["label"] for e in payload["elements"]]
+    lines.append(monoid.render_composition_table(labels, payload["composition_table"]))
     return "\n".join(lines)
 
 

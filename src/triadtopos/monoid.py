@@ -41,12 +41,18 @@ class TriadicMonoid(Value):
         products = tuple(tuple(maps.index(o.compose(i)) for i in maps) for o in maps)
         self._set(labels, maps, products)
 
+    def index(self, label: str) -> int:
+        try:
+            return self.labels.index(label)
+        except ValueError:
+            raise ValueError(f"unknown monoid element {label!r}") from None
+
     def element(self, label: str) -> AffineMap:
-        return self.maps[self.labels.index(label)]
+        return self.maps[self.index(label)]
 
     def compose_labels(self, outer: str, inner: str) -> str:
         """Label of outer∘inner (inner applied first)."""
-        return self.labels[self.products[self.labels.index(outer)][self.labels.index(inner)]]
+        return self.labels[self.products[self.index(outer)][self.index(inner)]]
 
     def composition_table(self) -> tuple[tuple[str, ...], ...]:
         return tuple(tuple(self.labels[k] for k in row) for row in self.products)
@@ -91,7 +97,7 @@ class MonoidAction(Value):
         return self.images[self.monoid.maps.index(t)][z % MOD]
 
     def act_label(self, label: str, z: int) -> int:
-        return self.images[self.monoid.labels.index(label)][z % MOD]
+        return self.images[self.monoid.index(label)][z % MOD]
 
     def closure_mask(self, mask: int) -> int:
         """Pitch mask of the smallest closed superset: the union of the
@@ -130,13 +136,14 @@ def closure(s: frozenset[int], action: MonoidAction) -> frozenset[int]:
     return pitches_of(action.closure_mask(mask_of(s)))
 
 
-def render_composition_table(monoid: TriadicMonoid) -> str:
-    """The 8x8 composition table (row∘column, column applied first)."""
-    width = max(len(l) for l in monoid.labels)
-    head = " " * (width + 1) + "| " + " ".join(l.ljust(width) for l in monoid.labels)
+def render_composition_table(labels, rows) -> str:
+    """The composition table (row∘column, column applied first) from the
+    element labels and the label rows of `TriadicMonoid.composition_table`."""
+    width = max(len(l) for l in labels)
+    head = " " * (width + 1) + "| " + " ".join(l.ljust(width) for l in labels)
     sep = "-" * len(head)
     lines = [head, sep]
-    for row_label, row in zip(monoid.labels, monoid.composition_table()):
+    for row_label, row in zip(labels, rows):
         lines.append(
             row_label.ljust(width + 1) + "| " + " ".join(v.ljust(width) for v in row)
         )

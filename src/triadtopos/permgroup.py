@@ -185,15 +185,12 @@ class PermGroup(Value):
         return Permutation.identity(self.carrier)
 
     def is_group(self) -> bool:
-        """Exhaustive group-axiom check: identity, closure, inverses."""
-        if Permutation.identity(self.carrier) not in self.elements:
+        """Group-axiom check: the Cayley table builds iff the set holds the
+        identity and every product, and a finite such set holds every inverse."""
+        try:
+            _cayley_table(self)
+        except ValueError:
             return False
-        for p in self.elements:
-            if p.inverse() not in self.elements:
-                return False
-            for q in self.elements:
-                if p * q not in self.elements:
-                    return False
         return True
 
 
@@ -246,8 +243,8 @@ def close_generators(
 
 def _cayley_table(group: PermGroup):
     """(elements in `sorted_elements` order, their index by image table,
-    table[i][j] = index of elements[i] * elements[j], identity index), built
-    on first use and kept on the group."""
+    table[i][j] = index of elements[i] * elements[j], identity index), built on
+    first use and kept on the group; ValueError if the identity or a product is missing."""
     if group._cayley is None:
         elements = group.sorted_elements()
         index = {p.images: i for i, p in enumerate(elements)}
@@ -313,10 +310,9 @@ def all_subgroups(group: PermGroup) -> list[PermGroup]:
     sorted by order, then by element indices.
     """
     check_bound("subgroups", len(group))
-    elems = group.sorted_elements()
+    elems, index = _cayley_table(group)[:2]
     found = {close_generators([], None, group)}
     for a in elems:
         for b in elems:
             found.add(close_generators([a, b], None, group))
-    index = _cayley_table(group)[1]
     return sorted(found, key=lambda g: (len(g), sorted([index[p.images] for p in g.elements])))

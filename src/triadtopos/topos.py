@@ -13,14 +13,8 @@ import itertools
 from functools import cache
 
 from ._value import Value
-from .monoid import (
-    MonoidAction,
-    TriadicMonoid,
-    conjugated_action,
-    natural_action,
-    triadic_monoid,
-)
-from .zmod import MOD, AffineMap, format_pcset, mask_of, maximal_cover, pcset
+from .monoid import MonoidAction, TriadicMonoid, natural_action, triadic_monoid
+from .zmod import MOD, format_pcset, mask_of, pcset
 
 EMPTY_NAME = "∅"
 
@@ -121,10 +115,8 @@ def omega_meet_table() -> tuple[tuple[int, ...], ...]:
 
 def omega_action(m_label: str, b: OmegaElement) -> OmegaElement:
     """The classifier action: m . B = {n : n∘m in B}."""
-    labels = triadic_monoid().labels
-    if m_label not in labels:
-        raise ValueError(f"unknown monoid element {m_label!r}")
-    return left_ideals()[omega_action_table()[labels.index(m_label)][_omega_index(b.name)]]
+    m = triadic_monoid().index(m_label)
+    return left_ideals()[omega_action_table()[m][_omega_index(b.name)]]
 
 
 class LTTopology(Value):
@@ -194,23 +186,19 @@ def lt_topologies() -> tuple[LTTopology, ...]:
         frozenset({0, 3, 4, 7, 8, 11}): "j_L",
         frozenset({0, 1, 3, 4, 6, 7, 9, 10}): "j_R",
     }
-    named: list[tuple[str, tuple[int, ...]]] = []
+    named: dict[str, tuple[int, ...]] = {}
     chromatic = []
     for images in survivors:
         carrier = _top_preimage(chi, images)
         if carrier in by_upgrade:
-            named.append((by_upgrade[carrier], images))
+            named[by_upgrade[carrier]] = images
         else:
             chromatic.append(images)
     if len(chromatic) != 2:
         raise AssertionError("expected exactly two chromatic-upgrade topologies")
     chromatic.sort(key=lambda images: images[0])
-    named += [("j_C", chromatic[0]), ("j_F", chromatic[1])]
-    order = ("j_T", "j_P", "j_L", "j_R", "j_C", "j_F")
-    return tuple(
-        LTTopology(name, images)
-        for name, images in sorted(named, key=lambda pair: order.index(pair[0]))
-    )
+    named["j_C"], named["j_F"] = chromatic
+    return tuple(LTTopology(name, named[name]) for name in (*by_upgrade.values(), "j_C", "j_F"))
 
 
 def topology_by_name(name: str) -> LTTopology:
@@ -260,20 +248,3 @@ def upgrade_table(
     chi = characteristic_morphism(d, action).indices
     return [(j.name, _top_preimage(chi, j.images)) for j in lt_topologies()]
 
-
-def conjugated_upgrades(phi: AffineMap):
-    """Rows (topology, carrier, maximal cover, PLR subgroup name) for the
-    j_P / j_L / j_R upgrades of phi({0,4,7}) under the phi-conjugated
-    action; carriers are computed directly and equal the phi-images of
-    the natural upgrades.  Two χ computations in all, one per path."""
-    seed = pcset({0, 4, 7})
-    conjugated = dict(upgrade_table(phi.apply_set(seed), conjugated_action(phi)))
-    natural = dict(upgrade_table(seed, natural_action()))
-    rows = []
-    for name, subgroup in (("j_P", "<P>"), ("j_L", "<P,L>"), ("j_R", "<P,R>")):
-        carrier = conjugated[name]
-        if carrier != phi.apply_set(natural[name]):
-            raise AssertionError(f"two-path upgrade mismatch for {name} at phi={phi}")
-        cover, _ = maximal_cover(carrier)
-        rows.append((name, carrier, cover, subgroup))
-    return rows

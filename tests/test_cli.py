@@ -76,6 +76,21 @@ def test_monoid_json(capsys):
     ]
 
 
+def test_monoid_text_renders_the_labels_of_its_payload():
+    args = build_parser().parse_args(["monoid"])
+    payload = args.build(args)
+    rename = {e["label"]: e["label"].upper() + "'" for e in payload["elements"]}
+    for e in payload["elements"]:
+        e["label"] = rename[e["label"]]
+    payload["composition_table"] = [
+        [rename[v] for v in row] for row in payload["composition_table"]
+    ]
+    table = args.render(payload, args).split("Composition table")[1].splitlines()[1:]
+    assert table[0].split("|")[1].split() == list(rename.values())
+    assert table[2].split() == ["E'", "|", *rename.values()]
+    assert all(old not in line.split() for line in table for old in rename)
+
+
 def test_topologies_json(capsys):
     code, out, _ = run(capsys, "topologies", "--format", "json")
     payload = json.loads(out)

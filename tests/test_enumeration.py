@@ -6,6 +6,7 @@ from triadtopos.enumeration import (
     enumerate_rows,
 )
 from triadtopos.monoid import is_closed, natural_action
+from triadtopos.topos import upgrade_table
 from triadtopos.permgroup import all_subgroups, is_simply_transitive
 from triadtopos.zmod import chord, maximal_cover, pcset
 
@@ -101,6 +102,26 @@ def test_row_carriers_covers_subgroups():
     assert rows["Chromatic Scale"].carrier == pcset(range(12))
     assert len(rows["Chromatic Scale"].cover) == 24
     assert rows["Chromatic Scale"].subgroup_name == "PLR-group"
+
+
+def test_upgrades_of_the_c_major_triad_are_row_carriers():
+    """The corollary at the identity conjugator: each upgrade of {0,4,7} is
+    a row carrier, named by the library's own subgroup names."""
+    rows = {r.carrier: r.subgroup_name for r in enumerate_rows()}
+    upgrades = upgrade_table(pcset({0, 4, 7}), natural_action())
+    assert [(name, rows[carrier]) for name, carrier in upgrades] == [
+        ("j_T", "{Id}"),
+        ("j_P", "{Id,P}"),
+        ("j_L", "<P,L>"),
+        ("j_R", "<P,R>"),
+        ("j_C", "PLR-group"),
+        ("j_F", "PLR-group"),
+    ]
+    assert [carrier for _, carrier in upgrades[1:4]] == [
+        pcset({0, 3, 4, 7}),
+        pcset({0, 3, 4, 7, 8, 11}),
+        pcset({0, 1, 3, 4, 6, 7, 9, 10}),
+    ]
 
 
 def test_hexatonic_octatonic_union_has_no_row():

@@ -2,7 +2,8 @@
 against the slow, obvious definitions, over the complete finite domains
 (all 4096 pitch sets, all 24 T/I conjugators, all 6^6 endo-maps of Omega,
 all ordered generator pairs of the PLR and T/I groups, closed on image
-tuples and on Cayley-table masks)."""
+tuples and on Cayley-table masks, every subset of S3 and of the order-8
+dihedral group as a group-axiom check)."""
 
 import itertools
 
@@ -11,7 +12,13 @@ import pytest
 from test_zmod import _cover_oracle
 from triadtopos.duality import plr_group, ti_group
 from triadtopos.monoid import closure, conjugated_action, is_closed, triadic_monoid
-from triadtopos.permgroup import Permutation, all_subgroups, close_generators
+from triadtopos.permgroup import (
+    Carrier,
+    PermGroup,
+    Permutation,
+    all_subgroups,
+    close_generators,
+)
 from triadtopos.topos import (
     _is_topology,
     characteristic_morphism,
@@ -180,3 +187,51 @@ def test_all_subgroups_matches_tuple_closure_reference(build):
     assert len(subgroups) == 34
     own = {id(p) for p in group.elements}
     assert all(id(p) in own for s in subgroups for p in s.elements)
+
+
+def group_axioms(elements, carrier):
+    """The definition: the identity, every inverse and every product."""
+    return (
+        Permutation.identity(carrier) in elements
+        and all(p.inverse() in elements for p in elements)
+        and all(p * q in elements for p in elements for q in elements)
+    )
+
+
+def _s3():
+    carrier = Carrier((0, 1, 2))
+    return [Permutation(carrier, images) for images in itertools.permutations(range(3))]
+
+
+def _d8():
+    carrier = Carrier((0, 1, 2, 3))
+    rotation, reflection = Permutation(carrier, (1, 2, 3, 0)), Permutation(carrier, (0, 3, 2, 1))
+    return sorted(close_generators([rotation, reflection]).elements, key=lambda p: p.images)
+
+
+@pytest.mark.parametrize("build,subgroups", [(_s3, 6), (_d8, 10)], ids=["S3", "D8"])
+def test_is_group_matches_the_axioms_on_every_subset(build, subgroups):
+    elems = build()
+    carrier = elems[0].carrier
+    found = 0
+    for bits in range(1 << len(elems)):
+        subset = frozenset(p for k, p in enumerate(elems) if bits >> k & 1)
+        expected = group_axioms(subset, carrier)
+        assert PermGroup(carrier, subset).is_group() == expected
+        found += expected
+    assert found == subgroups
+
+
+def test_is_group_matches_the_axioms_one_element_off_each_plr_subgroup():
+    group = plr_group()
+    found = 0
+    for sub in all_subgroups(group):
+        near = [sub.elements - {p} for p in sub.elements]
+        near += [sub.elements | {p} for p in group.elements - sub.elements]
+        for elements in near:
+            got = PermGroup(group.carrier, elements).is_group()
+            assert got == group_axioms(elements, group.carrier)
+            found += got
+        assert sub.is_group()
+    # {Id} plus one of the 13 involutions, and each such {Id,x} minus x
+    assert found == 26

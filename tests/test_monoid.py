@@ -154,7 +154,8 @@ def test_closure_operator():
 
 
 def test_render_composition_table_anchor_rows():
-    text = render_composition_table(triadic_monoid())
+    m = triadic_monoid()
+    text = render_composition_table(m.labels, m.composition_table())
     lines = text.splitlines()
     assert lines[0].split("|")[1].split() == list(ELEMENT_LABELS)
     # constants are left zeros: a∘x = a for every x

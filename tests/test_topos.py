@@ -7,7 +7,6 @@ from triadtopos.topos import (
     EMPTY_NAME,
     NotClosedError,
     characteristic_morphism,
-    conjugated_upgrades,
     left_ideals,
     lt_topologies,
     omega_action,
@@ -16,7 +15,7 @@ from triadtopos.topos import (
     upgrade,
     upgrade_table,
 )
-from triadtopos.zmod import AffineMap, IDENTITY, pcset, ti_group_maps
+from triadtopos.zmod import AffineMap, pcset, ti_group_maps
 
 C_CHORD = pcset({0, 4, 7})
 
@@ -84,6 +83,9 @@ def test_unknown_omega_and_monoid_names_raise_value_errors_naming_them():
         "'X'": lambda: omega_by_name("X"),
         "'Y'": lambda: lt_topologies()[0]("Y"),
         "'zz'": lambda: omega_action("zz", omega_by_name("C")),
+        "'zy'": lambda: triadic_monoid().element("zy"),
+        "'zx'": lambda: triadic_monoid().compose_labels("zx", "e"),
+        "'zw'": lambda: natural_action().act_label("zw", 0),
     }
     for name, lookup in lookups.items():
         with pytest.raises(ValueError, match=name):
@@ -250,25 +252,27 @@ def test_conjugated_upgrade_two_path_equality_all_cases():
             )
 
 
-def test_conjugated_upgrades_identity_rows():
-    rows = conjugated_upgrades(IDENTITY)
-    by_name = {name: (carrier, cover, sub) for name, carrier, cover, sub in rows}
-    assert by_name["j_P"][0] == pcset({0, 3, 4, 7})
-    assert by_name["j_L"][0] == HEXATONIC
-    assert by_name["j_R"][0] == OCTATONIC
-    assert by_name["j_P"][2] == "<P>"
-    assert by_name["j_L"][2] == "<P,L>"
-    assert by_name["j_R"][2] == "<P,R>"
+def test_conjugated_upgrade_tables_at_t1_and_i0():
+    for phi, name, expected in (
+        (AffineMap(1, 1), "j_L", pcset({1, 4, 5, 8, 9, 0})),
+        (AffineMap(11, 0), "j_P", pcset({0, 9, 8, 5})),
+    ):
+        got = dict(upgrade_table(phi.apply_set(C_CHORD), conjugated_action(phi)))
+        assert got[name] == expected
 
 
-def test_conjugated_upgrades_t1_and_i0():
-    t1_rows = {name: carrier for name, carrier, _, _ in conjugated_upgrades(AffineMap(1, 1))}
-    assert t1_rows["j_L"] == pcset({1, 4, 5, 8, 9, 0})
-    i0_rows = {name: carrier for name, carrier, _, _ in conjugated_upgrades(AffineMap(11, 0))}
-    assert i0_rows["j_P"] == pcset({0, 9, 8, 5})
+def test_conjugated_upgrade_covers_are_phi_images():
+    from triadtopos.zmod import maximal_cover, transform_chord
+
+    base = dict(upgrade_table(C_CHORD, natural_action()))
+    for phi in ti_group_maps():
+        for name, carrier in upgrade_table(phi.apply_set(C_CHORD), conjugated_action(phi)):
+            cover, _ = maximal_cover(carrier)
+            base_cover, _ = maximal_cover(base[name])
+            assert set(cover) == {transform_chord(phi, c) for c in base_cover}
 
 
-def test_conjugated_upgrades_computes_chi_once_per_path(monkeypatch):
+def test_upgrade_table_computes_chi_once(monkeypatch):
     import triadtopos.topos as topos
 
     lt_topologies()  # the scan's own χ is not counted
@@ -280,15 +284,6 @@ def test_conjugated_upgrades_computes_chi_once_per_path(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(topos, "characteristic_morphism", spy)
-    assert len(conjugated_upgrades(IDENTITY)) == 3
-    assert len(calls) == 2
-
-
-def test_conjugated_upgrade_covers_are_phi_images():
-    from triadtopos.zmod import maximal_cover, transform_chord
-
-    base = {name: carrier for name, carrier, _, _ in conjugated_upgrades(IDENTITY)}
-    for phi in ti_group_maps():
-        for name, carrier, cover, _ in conjugated_upgrades(phi):
-            base_cover, _ = maximal_cover(base[name])
-            assert set(cover) == {transform_chord(phi, c) for c in base_cover}
+    phi = AffineMap(11, 5)
+    assert len(upgrade_table(phi.apply_set(C_CHORD), conjugated_action(phi))) == 6
+    assert len(calls) == 1
