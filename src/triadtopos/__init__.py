@@ -1,48 +1,33 @@
 """Dual groups on the 24 consonant triads, the triadic monoid on Z_12,
-and its subobject-classifier / Lawvere-Tierney machinery."""
+and its subobject-classifier / Lawvere-Tierney machinery.
 
-from .zmod import AffineMap, Chord, chord, all_chords, maximal_cover, pcset
-from .permgroup import Carrier, PermGroup, Permutation, close_generators, orbit
-from .duality import dual_group, plr_group, plr_named, plr_subgroup, sub_dual, ti_group, verify_dual
-from .monoid import conjugated_action, is_closed, natural_action, triadic_monoid
-from .topos import (
-    characteristic_morphism,
-    left_ideals,
-    lt_topologies,
-    omega_action,
-    upgrade,
-)
-from .enumeration import case_audit, closed_covered_sets, enumerate_rows
+The names below are exported lazily (PEP 562): a module is imported the
+first time one of its names is read, so `import triadtopos` loads none."""
 
-__all__ = [
-    "AffineMap",
-    "Carrier",
-    "Chord",
-    "PermGroup",
-    "Permutation",
-    "all_chords",
-    "case_audit",
-    "characteristic_morphism",
-    "chord",
-    "close_generators",
-    "closed_covered_sets",
-    "conjugated_action",
-    "dual_group",
-    "enumerate_rows",
-    "is_closed",
-    "left_ideals",
-    "lt_topologies",
-    "maximal_cover",
-    "natural_action",
-    "omega_action",
-    "orbit",
-    "pcset",
-    "plr_group",
-    "plr_named",
-    "plr_subgroup",
-    "sub_dual",
-    "ti_group",
-    "triadic_monoid",
-    "upgrade",
-    "verify_dual",
-]
+_EXPORTS = {
+    "zmod": ("AffineMap", "Chord", "chord", "all_chords", "maximal_cover", "pcset"),
+    "permgroup": ("Carrier", "PermGroup", "Permutation", "close_generators", "orbit"),
+    "duality": ("dual_group", "plr_group", "plr_named", "plr_subgroup", "sub_dual",
+                "ti_group", "verify_dual"),
+    "monoid": ("conjugated_action", "is_closed", "natural_action", "triadic_monoid"),
+    "topos": ("characteristic_morphism", "left_ideals", "lt_topologies", "omega_action",
+              "upgrade"),
+    "enumeration": ("case_audit", "closed_covered_sets", "enumerate_rows"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

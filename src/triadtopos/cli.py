@@ -1,6 +1,8 @@
 """Command-line front end: every table the library computes, as stable
 text or JSON on stdout.  Each table has a builder, the only code that calls
-the library, and a renderer that reads only its JSON payload and argv."""
+the library, and a renderer that reads only its JSON payload and argv.
+Library modules are imported where they are used, so a subcommand loads
+only the modules it needs."""
 
 from __future__ import annotations
 
@@ -8,12 +10,6 @@ import argparse
 import json
 import sys
 from pathlib import Path
-
-from . import duality, enumeration, monoid, permgroup, topos, zmod
-from .duality import in_label_order, plr_group, sub_dual, ti_group
-from .monoid import conjugated_action, natural_action, triadic_monoid
-from .permgroup import SearchBoundExceeded
-from .zmod import chord, format_pcset, parse_pcset, parse_ti
 
 EXIT_OK = 0
 EXIT_REFUSED = 1
@@ -29,11 +25,13 @@ TOPOLOGY_FLAGS = {
 }
 
 
-def _sorted_labels(group: permgroup.PermGroup) -> list[str]:
+def _sorted_labels(group) -> list[str]:
+    from .duality import in_label_order
     return [p.label for p in in_label_order(group)]
 
 
-def _group_json(group: permgroup.PermGroup) -> list[dict]:
+def _group_json(group) -> list[dict]:
+    from .duality import in_label_order
     return [
         {"label": p.label, "cycles": p.cycle_notation(), "images": list(p.images)}
         for p in in_label_order(group)
@@ -50,12 +48,15 @@ def _braced(items: list[str]) -> str:
 
 
 def _action_from_args(args):
+    from .monoid import conjugated_action, natural_action
+    from .zmod import parse_ti
     if args.conjugate is None:
         return natural_action()
     return conjugated_action(parse_ti(args.conjugate))
 
 
 def monoid_payload(args) -> dict:
+    from .monoid import triadic_monoid
     m = triadic_monoid()
     return {
         "elements": [{"label": l, "m": a.m, "b": a.b} for l, a in zip(m.labels, m.maps)],
@@ -64,16 +65,19 @@ def monoid_payload(args) -> dict:
 
 
 def monoid_text(payload, args) -> str:
+    from .monoid import render_composition_table
     lines = ["Triadic monoid elements (z -> m*z + b):"]
     for e in payload["elements"]:
         lines.append(f"  {e['label'].ljust(2)}  m={e['m']:<2} b={e['b']}")
     lines += ["", "Composition table (row∘column, column applied first):"]
     labels = [e["label"] for e in payload["elements"]]
-    lines.append(monoid.render_composition_table(labels, payload["composition_table"]))
+    lines.append(render_composition_table(labels, payload["composition_table"]))
     return "\n".join(lines)
 
 
 def omega_payload(args) -> dict:
+    from . import topos
+    from .monoid import triadic_monoid
     ideals = topos.left_ideals()
     m = triadic_monoid()
     act = topos.omega_action_table()
@@ -99,6 +103,7 @@ def omega_text(payload, args) -> str:
 
 
 def topologies_payload(args) -> list:
+    from . import topos
     return [{"name": j.name, "table": j.mapping()} for j in topos.lt_topologies()]
 
 
@@ -111,6 +116,8 @@ def topologies_text(payload, args) -> str:
 
 
 def chi_payload(args) -> dict:
+    from . import topos
+    from .zmod import parse_pcset
     s = parse_pcset(args.set)
     chi = topos.characteristic_morphism(s, _action_from_args(args))
     return {"set": sorted(s), "conjugate": args.conjugate, "table": list(chi.table)}
@@ -123,6 +130,8 @@ def chi_text(payload, args) -> str:
 
 
 def upgrade_payload(args) -> dict:
+    from . import topos
+    from .zmod import parse_pcset
     s = parse_pcset(args.set)
     j = topos.topology_by_name(TOPOLOGY_FLAGS[args.topology])
     return {"set": sorted(s), "topology": j.name, "conjugate": args.conjugate,
@@ -130,10 +139,11 @@ def upgrade_payload(args) -> dict:
 
 
 def upgrade_text(payload, args) -> str:
+    from .zmod import format_pcset
     return format_pcset(payload["upgrade"])
 
 
-def _system_json(sys_: duality.SubDualSystem) -> dict:
+def _system_json(sys_) -> dict:
     return {
         "seed": str(sys_.s0),
         "orbit": [str(c) for c in sys_.points],
@@ -144,8 +154,12 @@ def _system_json(sys_: duality.SubDualSystem) -> dict:
 
 
 def dual_payload(args) -> dict:
+    from . import duality
+    from .zmod import chord
     g0 = duality.plr_subgroup(*args.group)
-    return _system_json(sub_dual(plr_group(), ti_group(), g0, chord(args.seed)))
+    return _system_json(
+        duality.sub_dual(duality.plr_group(), duality.ti_group(), g0, chord(args.seed))
+    )
 
 
 def dual_text(payload, args) -> str:
@@ -161,8 +175,10 @@ def dual_text(payload, args) -> str:
 
 
 def systems_payload(args) -> list:
+    from . import duality
     g0 = duality.plr_subgroup(*args.group)
-    return [_system_json(s) for s in duality.all_orbits(plr_group(), ti_group(), g0)]
+    systems = duality.all_orbits(duality.plr_group(), duality.ti_group(), g0)
+    return [_system_json(s) for s in systems]
 
 
 def systems_text(payload, args) -> str:
@@ -173,6 +189,7 @@ def systems_text(payload, args) -> str:
 
 
 def enumerate_payload(args) -> list:
+    from . import enumeration
     return [
         {
             "carrier": sorted(r.carrier),
@@ -186,6 +203,7 @@ def enumerate_payload(args) -> list:
 
 
 def enumerate_text(payload, args) -> str:
+    from .zmod import format_pcset
     cells = [("Carrier Set", "Type", "Maximal Cover", "PLR-Subgroup")]
     for r in payload:
         cover = ",".join(r["cover"])
@@ -197,6 +215,7 @@ def enumerate_text(payload, args) -> str:
 
 
 def audit_payload(args) -> dict:
+    from . import enumeration
     audit = enumeration.case_audit()
     return {
         "case1": [
@@ -220,6 +239,7 @@ def audit_payload(args) -> dict:
 
 
 def audit_text(payload, args) -> str:
+    from .zmod import format_pcset
     lines = ["Case 1 (subgroups containing P):"]
     for l in payload["case1"]:
         lines.append(f"  {l['subgroup'].ljust(7)} orbit {_braced(l['c_orbit'])}")
@@ -249,6 +269,7 @@ def _has_type(value, kind) -> bool:
 
 def cmd_verify(args) -> int:
     """Re-prove the invariants of enumeration rows from their JSON form."""
+    from . import duality, enumeration, monoid, permgroup, zmod
     source = args.input or "<stdin>"
     try:
         path = Path(args.input) if args.input else None
@@ -257,7 +278,7 @@ def cmd_verify(args) -> int:
         raise ValueError(f"cannot read JSON rows from {source}: {exc}") from None
     if not isinstance(rows, list):
         raise ValueError(f"{source} is not a JSON list of rows")
-    act = natural_action()
+    act = monoid.natural_action()
     failures = []
     for i, row in enumerate(rows):
         if not isinstance(row, dict):
@@ -362,7 +383,10 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return cmd_verify(args)
         payload = args.build(args)
-    except SearchBoundExceeded as exc:
+    except RuntimeError as exc:
+        from .permgroup import SearchBoundExceeded  # raised only once permgroup is loaded
+        if not isinstance(exc, SearchBoundExceeded):
+            raise
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSED
     except ValueError as exc:

@@ -18,6 +18,10 @@ G = AffineMap(8, 4)
 
 ELEMENT_LABELS = ("e", "f", "f2", "g", "g2", "a", "b", "c")
 
+#: `MonoidAction.closure_mask` reads a pitch mask as two halves of HALF bits.
+HALF = MOD // 2
+LOW_BITS = (1 << HALF) - 1
+
 _LABELED = {
     "e": IDENTITY,
     "f": F,
@@ -41,11 +45,12 @@ class TriadicMonoid(Value):
         products = tuple(tuple(maps.index(o.compose(i)) for i in maps) for o in maps)
         self._set(labels, maps, products)
 
-    def index(self, label: str) -> int:
+    def index(self, key: str | AffineMap) -> int:
+        """Index of a monoid element, given by its label or as its map."""
         try:
-            return self.labels.index(label)
+            return (self.maps if isinstance(key, AffineMap) else self.labels).index(key)
         except ValueError:
-            raise ValueError(f"unknown monoid element {label!r}") from None
+            raise ValueError(f"unknown monoid element {key!r}") from None
 
     def element(self, label: str) -> AffineMap:
         return self.maps[self.index(label)]
@@ -83,34 +88,39 @@ class MonoidAction(Value):
     conjugator phi, an element t acts as phi∘t∘phi^{-1}.
 
     `images[k][z]` is the image of z under the k-th monoid element, and
-    `orbits[z]` is the pitch mask of z's orbit; both are built once."""
+    `closure_halves` is the pair of tables behind `closure_mask`; both are
+    built once."""
 
-    __slots__ = ("monoid", "conjugator", "images", "orbits")
+    __slots__ = ("monoid", "conjugator", "images", "closure_halves")
     _fields = ("monoid", "conjugator")
 
     def __init__(self, monoid: TriadicMonoid, conjugator: AffineMap = IDENTITY):
         phi, inv = conjugator, conjugator.inverse()
         images = tuple(tuple(phi(t(inv(z))) for z in range(MOD)) for t in monoid)
-        self._set(monoid, conjugator, images, tuple(mask_of(col) for col in zip(*images)))
+        orbits = [mask_of(col) for col in zip(*images)]
+        halves = (_union_table(orbits[:HALF]), _union_table(orbits[HALF:]))
+        self._set(monoid, conjugator, images, halves)
 
     def act(self, t: AffineMap, z: int) -> int:
-        return self.images[self.monoid.maps.index(t)][z % MOD]
+        return self.images[self.monoid.index(t)][z % MOD]
 
     def act_label(self, label: str, z: int) -> int:
         return self.images[self.monoid.index(label)][z % MOD]
 
     def closure_mask(self, mask: int) -> int:
         """Pitch mask of the smallest closed superset: the union of the
-        orbits of the points of `mask`."""
-        out = 0
-        for z, orbit in enumerate(self.orbits):
-            if mask >> z & 1:
-                out |= orbit
-        return out
+        orbits of the points of `mask`, read as two table lookups, one per
+        half of the mask."""
+        low, high = self.closure_halves
+        return low[mask & LOW_BITS] | high[mask >> HALF]
 
-    @property
-    def is_natural(self) -> bool:
-        return self.images == natural_action().images
+
+def _union_table(orbits: list[int]) -> tuple[int, ...]:
+    """[bits] is the union of orbits[z] over the z set in `bits`."""
+    table = [0]
+    for orbit in orbits:  # the subsets with bit z set follow those without it
+        table += [union | orbit for union in table]
+    return tuple(table)
 
 
 def natural_action() -> MonoidAction:

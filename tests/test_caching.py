@@ -19,10 +19,12 @@ CACHED_BUILDERS = (
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# Prints every functools cache in the loaded triadtopos modules, with its size.
+# Prints every functools cache in the triadtopos modules, with its size.  The
+# CLI imports library modules only inside its subcommands, so they are named here.
 CACHE_SIZES = """
 import json, sys
-import triadtopos.cli
+import triadtopos.cli, triadtopos.duality, triadtopos.enumeration, triadtopos.monoid
+import triadtopos.permgroup, triadtopos.topos, triadtopos.zmod
 print(json.dumps({
     f"{name}.{attr}": fn.cache_info().currsize
     for name, module in sorted(sys.modules.items()) if name.startswith("triadtopos")

@@ -7,6 +7,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from triadtopos import enumeration, permgroup
 from triadtopos.cli import build_parser, main
 
 GOLDENS = Path(__file__).parent / "goldens"
@@ -190,6 +191,22 @@ def test_empty_conjugator_is_usage_error(capsys):
 def test_non_closed_set_is_usage_error(capsys):
     code, _, err = run(capsys, "chi", "--set", "0,4,5,7")
     assert code == 2
+
+
+def test_search_bound_refusal_exits_1(capsys, monkeypatch):
+    monkeypatch.setitem(permgroup.SEARCH_BOUNDS, "subgroups", 23)
+    code, out, err = run(capsys, "enumerate")
+    assert (code, out) == (1, "")
+    assert err == "refused: subgroups search bounded at size 23, got 24\n"
+
+
+def test_other_runtime_errors_are_not_refusals(monkeypatch):
+    def fail():
+        raise RuntimeError("not a bound")
+
+    monkeypatch.setattr(enumeration, "enumerate_rows", fail)
+    with pytest.raises(RuntimeError, match="not a bound"):
+        main(["enumerate"])
 
 
 def test_unknown_subcommand_exits_2(capsys):

@@ -10,7 +10,7 @@ import itertools
 import pytest
 
 from test_zmod import _cover_oracle
-from triadtopos.duality import plr_group, ti_group
+from triadtopos.duality import dual_group, plr_group, ti_group
 from triadtopos.monoid import closure, conjugated_action, is_closed, triadic_monoid
 from triadtopos.permgroup import (
     Carrier,
@@ -29,7 +29,7 @@ from triadtopos.topos import (
     upgrade,
     upgrade_table,
 )
-from triadtopos.zmod import MOD, all_chords, maximal_cover, ti_group_maps, ti_name
+from triadtopos.zmod import MOD, all_chords, chord, maximal_cover, ti_group_maps, ti_name
 
 ALL_SETS = [frozenset(z for z in range(MOD) if bits >> z & 1) for bits in range(1 << MOD)]
 
@@ -58,6 +58,19 @@ def test_is_closed_and_closure_match_affine_maps(phi):
         expected = closure_oracle(s, table)
         assert is_closed(s, act) == (expected == s)
         assert closure(s, act) == expected
+
+
+@pytest.mark.parametrize("phi", ti_group_maps(), ids=ti_name)
+def test_closure_mask_is_the_union_of_point_orbits_on_all_masks(phi):
+    act = conjugated_action(phi)
+    maps = conjugated_maps(phi)
+    orbits = [sum(1 << z for z in {t(x) for t in maps}) for x in range(MOD)]
+    for mask in range(1 << MOD):
+        expected = 0
+        for x in range(MOD):
+            if mask >> x & 1:
+                expected |= orbits[x]
+        assert act.closure_mask(mask) == expected
 
 
 def test_maximal_cover_matches_oracle_on_all_sets():
@@ -153,7 +166,8 @@ def test_close_generators_matches_permutation_products_on_all_pairs(build):
         assert {p.images for p in got.elements} == {p.images for p in expected}
         assert got.elements == expected
         assert all(p.carrier is group.carrier for p in got.elements)
-        assert [p.label for p in got.elements if p.is_identity()] == ["Id"]
+        identity = tuple(range(len(group.carrier)))
+        assert [p.label for p in got.elements if p.images == identity] == ["Id"]
 
 
 @pytest.mark.parametrize("build", [plr_group, ti_group], ids=["PLR", "TI"])
@@ -168,6 +182,44 @@ def test_mask_closure_matches_tuple_closure_on_all_pairs(build):
         assert got.elements == close_generators(gens, group.carrier).elements
         assert all(id(p) in own for p in got.elements)
         assert got.carrier is group.carrier
+
+
+@pytest.mark.parametrize("build", [plr_group, ti_group], ids=["PLR", "TI"])
+def test_mask_closure_returns_one_object_per_subgroup(build):
+    """Every closure with the same element mask returns the same object,
+    made of the ambient group's own elements; a second ambient group with
+    the same elements gets its own objects."""
+    group = build()
+    twin = PermGroup(group.carrier, group.elements)
+    elems = group.sorted_elements()
+    for ambient in (group, twin):
+        own = {id(p) for p in ambient.elements}
+        by_elements = {}
+        for gens in [[], *([a, b] for a in elems for b in elems)]:
+            got = close_generators(gens, None, ambient)
+            assert by_elements.setdefault(got.elements, got) is got
+            assert all(id(p) in own for p in got.elements)
+        assert len(by_elements) == 34
+    first = {id(s) for s in all_subgroups(group)}
+    assert first.isdisjoint(id(s) for s in all_subgroups(twin))
+
+
+def test_subgroups_of_the_relabelled_plr_twin_keep_the_twins_elements():
+    """The dual of T/I at C equals the PLR group as a value but labels its
+    elements ρ(...); closing in the PLR group first must not hand the twin
+    the PLR group's Id, P, PQ1, ... objects."""
+    plr = plr_group()
+    twin = dual_group(ti_group(), chord("C"))
+    assert twin == plr and twin is not plr
+    all_subgroups(plr)
+    own = {id(p) for p in twin.elements}
+    plr_labels = {p.label for p in plr.elements}
+    elems = twin.sorted_elements()
+    for gens in [[], *([a, b] for a in elems for b in elems)]:
+        got = close_generators(gens, None, twin)
+        assert all(id(p) in own for p in got.elements)
+        assert not plr_labels & {p.label for p in got.elements}
+    assert all(p.label.startswith("ρ(") for s in all_subgroups(twin) for p in s.elements)
 
 
 def tuple_subgroups(group):

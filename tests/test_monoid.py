@@ -124,7 +124,9 @@ def test_identity_acts_trivially_all_conjugates():
 
 
 def test_conjugated_action_examples():
-    assert conjugated_action(IDENTITY).is_natural
+    assert conjugated_action(IDENTITY).images == tuple(
+        tuple(t(z) for z in range(12)) for t in triadic_monoid()
+    )
     t1 = conjugated_action(AffineMap(1, 1))
     assert is_closed(pcset({1, 5, 8}), t1)
     i0 = conjugated_action(AffineMap(11, 0))

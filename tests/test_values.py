@@ -33,9 +33,11 @@ from triadtopos.zmod import AffineMap, Chord, Quality, chord, pcset, transpositi
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-#: Prints which of two slow-to-import modules a fresh CLI import loaded.
+#: Prints which of two slow-to-import modules a fresh import of the CLI and
+#: of every library module loaded (the CLI alone loads no library module).
 HEAVY_IMPORTS = (
-    "import sys, triadtopos.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    "import sys, triadtopos.cli, triadtopos.enumeration, triadtopos.topos;"
+    " print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
 )
 
 
@@ -78,7 +80,7 @@ VALUES = {
     MonoidAction: (
         lambda: MonoidAction(triadic_monoid(), transposition(3)),
         lambda: MonoidAction(triadic_monoid(), transposition(4)),
-        ("images", "orbits"),
+        ("images", "closure_halves"),
     ),
     OmegaElement: (
         lambda: OmegaElement("C", frozenset("abc")),
