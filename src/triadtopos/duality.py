@@ -18,6 +18,7 @@ from .permgroup import (
     Permutation,
     Point,
     SEARCH_BOUNDS,
+    _generators,
     centralizer_brute,
     check_bound,
     close_generators,
@@ -159,22 +160,45 @@ def dual_group(g: PermGroup, s0: Point) -> PermGroup:
 
 
 def verify_dual(g: PermGroup, h: PermGroup) -> bool:
-    """Simply transitive + elementwise commuting, which on a shared carrier
-    makes g and h mutual centralizers; cross-checked by brute force on
-    carriers within the "centralizer" search bound."""
+    """True iff g and h act simply transitively on their shared carrier and
+    commute elementwise, which makes them mutual centralizers (checked by
+    `_check_dual`); CarrierMismatchError if the carriers differ."""
+    try:
+        _check_dual(g, h)
+    except (NotSimplyTransitiveError, NotCommutingError):
+        return False
+    return True
+
+
+def _check_dual(g: PermGroup, h: PermGroup) -> None:
+    """Refuse a pair that is not dual on its carrier: NotSimplyTransitiveError
+    naming g or h, or NotCommutingError with a pair that does not commute.
+
+    Commutation is checked on generating sets (`permgroup._generators`): if
+    the generators commute pairwise, so do all their products.  A simply
+    transitive set that is not a group cannot pass: if g and h act simply
+    transitively on X and commute elementwise, g lies in the centralizer C of
+    the transitive <h>; an element of C fixing one point fixes all, so
+    |C| <= |X| = |g| and g = C is a group, and so is h.  For such a set all
+    element pairs are scanned for the witness.  Carriers within the
+    "centralizer" bound also cross-check both centralizers by brute force.
+    """
     if g.carrier != h.carrier:
         raise CarrierMismatchError("dual groups must share a carrier")
     pts = g.carrier.points
-    if not (is_simply_transitive(g, pts) and is_simply_transitive(h, pts)):
-        return False
-    if not all(p.commutes_with(q) for p in g.elements for q in h.elements):
-        return False
+    for name, group in (("g", g), ("h", h)):
+        if not is_simply_transitive(group, pts):
+            raise NotSimplyTransitiveError(f"{name} does not act simply transitively")
+    try:
+        pairs = itertools.product(_generators(g), _generators(h))
+    except ValueError:  # not a group, so some element pair does not commute
+        pairs = itertools.product(g.sorted_elements(), h.sorted_elements())
+    for p, q in pairs:
+        if not p.commutes_with(q):
+            raise NotCommutingError(p, q)
     if len(pts) <= SEARCH_BOUNDS["centralizer"]:
-        if centralizer_brute(g).elements != h.elements:
-            return False
-        if centralizer_brute(h).elements != g.elements:
-            return False
-    return True
+        if centralizer_brute(g) != h or centralizer_brute(h) != g:
+            raise AssertionError("commuting simply transitive groups are not mutual centralizers")
 
 
 #: Q_k and PQ_k labels of the PLR group, indexed by k (Q0 is Id, PQ0 is P).
@@ -301,11 +325,17 @@ def restrict_group(g: PermGroup, sub: Carrier) -> PermGroup:
 
 
 def sub_dual(g: PermGroup, h: PermGroup, g0: PermGroup, s0: Point) -> SubDualSystem:
-    """Build the sub-dual system of (g, h) determined by g0 and s0."""
+    """Build the sub-dual system of (g, h) determined by g0 and s0.  Refuses
+    a g0 that is no subgroup of g (ValueError naming it) and a pair (g, h)
+    that is not dual (`_check_dual`, which for PLR and T/I makes 4
+    commutation checks, on two generators of each)."""
     if not g0 <= g:
-        raise ValueError("g0 must be a subgroup of g")
-    if not verify_dual(g, h):
-        raise NotSimplyTransitiveError("g and h must be dual on the carrier")
+        outside = next(p for p in g0.sorted_elements() if p not in g)
+        raise ValueError(f"g0 must be a subgroup of g: {outside} is not in g")
+    if not g0.is_group():
+        names = ",".join(str(p) for p in g0.sorted_elements())
+        raise ValueError(f"g0 must be a subgroup of g: {{{names}}} is not a group")
+    _check_dual(g, h)
     pts = orbit(g0, s0)
     ordered = tuple(p for p in g.carrier.points if p in pts)
     h0 = PermGroup(h.carrier, frozenset(p for p in h.elements if p(s0) in pts))
@@ -326,7 +356,7 @@ def transform_orbit(sys: SubDualSystem, k: Permutation) -> SubDualSystem:
     """Move a sub-dual system to the orbit of k(s0), for k in the partner
     ambient group; the partner subgroup conjugates to k h0 k^{-1}."""
     if k not in sys.h:
-        raise ValueError("transforming element must lie in the ambient partner group")
+        raise ValueError(f"transforming element {k} must lie in the ambient partner group")
     return sub_dual(sys.g, sys.h, sys.g0, k(sys.s0))
 
 
@@ -335,7 +365,7 @@ def extend_commuting(p: Permutation, sys: SubDualSystem, side: str) -> Permutati
     with the restricted partner (side='toG') or the restricted subgroup
     (side='toH')."""
     if side not in ("toG", "toH"):
-        raise ValueError("side must be 'toG' or 'toH'")
+        raise ValueError(f"side must be 'toG' or 'toH', got {side!r}")
     must_commute = sys.h0_restricted if side == "toG" else sys.g0_restricted
     target = sys.g if side == "toG" else sys.h
     for q in must_commute.elements:

@@ -261,6 +261,19 @@ def _cayley_table(group: PermGroup):
     return group._cayley
 
 
+def _generators(group: PermGroup) -> list[Permutation]:
+    """A generating set: each element, in Cayley-table order, that the earlier
+    picks do not generate.  Each pick at least doubles the subgroup, so there
+    are at most log2 |group| of them; ValueError if `group` is not a group."""
+    gens: list[Permutation] = []
+    sub = close_generators(gens, None, group)
+    for p in _cayley_table(group)[0]:
+        if p not in sub:
+            gens.append(p)
+            sub = close_generators(gens, None, group)
+    return gens
+
+
 def orbit(group: PermGroup, point: Point) -> frozenset[Point]:
     if point not in group.carrier:
         raise ValueError(f"{point!r} is not on the group's carrier")

@@ -22,6 +22,9 @@ from triadtopos.duality import (
 )
 from triadtopos.duality import restrict
 from triadtopos.permgroup import (
+    Carrier,
+    PermGroup,
+    Permutation,
     SearchBoundExceeded,
     centralizer_brute,
     close_generators,
@@ -312,8 +315,45 @@ def test_sub_dual_full_group_trivial_case(ti, plr):
 
 
 def test_sub_dual_rejects_non_subgroup(ti, plr):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="g0 must be a subgroup of g: I7 is not in g"):
         sub_dual(plr, ti, ti, chord("C"))
+
+
+@pytest.mark.parametrize("names", [["P"], ["Id", "Q1"], ["Id", "P", "L"]])
+def test_sub_dual_rejects_a_subset_of_g_that_is_not_a_group(ti, plr, names):
+    g0 = PermGroup(plr.carrier, frozenset(plr_named(n) for n in names))
+    with pytest.raises(ValueError, match="g0 must be a subgroup of g: {.*} is not a group"):
+        sub_dual(plr, ti, g0, chord("C"))
+
+
+def test_sub_dual_refuses_a_non_commuting_pair_with_a_generator_witness(plr):
+    with pytest.raises(NotCommutingError) as info:
+        sub_dual(plr, plr, plr_subgroup("P", "L"), chord("C"))
+    p, q = info.value.witness
+    assert (p.label, q.label) == ("P", "Q1")
+    assert not p.commutes_with(q)
+
+
+def test_sub_dual_names_the_input_that_is_not_simply_transitive(ti, plr):
+    pl = plr_subgroup("P", "L")
+    with pytest.raises(NotSimplyTransitiveError, match="^h does not act simply transitively"):
+        sub_dual(plr, pl, pl, chord("C"))
+    with pytest.raises(NotSimplyTransitiveError, match="^g does not act simply transitively"):
+        sub_dual(pl, ti, plr_subgroup("P"), chord("C"))
+
+
+def test_sub_dual_refuses_a_simply_transitive_set_that_is_not_a_group():
+    """The three transpositions move 0 to each point but do not commute
+    with the rotations; the witness comes from all element pairs."""
+    carrier = Carrier((0, 1, 2))
+    rotations = close_generators([Permutation(carrier, (1, 2, 0))])
+    swaps = [Permutation(carrier, images) for images in [(1, 0, 2), (2, 1, 0), (0, 2, 1)]]
+    swaps = PermGroup(carrier, frozenset(swaps))
+    assert is_simply_transitive(swaps, carrier.points) and not swaps.is_group()
+    with pytest.raises(NotCommutingError) as info:
+        sub_dual(rotations, swaps, rotations, 0)
+    p, q = info.value.witness
+    assert p in rotations and q in swaps and not p.commutes_with(q)
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +389,7 @@ def test_transform_by_identity_is_noop(hexatonic):
 
 
 def test_transform_rejects_outsider(hexatonic):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="transforming element P must lie in the ambient partner"):
         transform_orbit(hexatonic, plr_named("P"))
 
 
@@ -381,6 +421,12 @@ def test_extend_commuting_rejects_with_witness(hexatonic):
     with pytest.raises(NotCommutingError) as info:
         extend_commuting(bad, hexatonic, "toG")
     assert info.value.witness[0] == bad
+
+
+def test_extend_commuting_names_an_unknown_side(hexatonic):
+    ident = hexatonic.g0_restricted.identity()
+    with pytest.raises(ValueError, match="side must be 'toG' or 'toH', got 'sideways'"):
+        extend_commuting(ident, hexatonic, "sideways")
 
 
 def test_all_orbits_hexatonic(ti, plr):

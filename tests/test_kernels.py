@@ -3,21 +3,27 @@ against the slow, obvious definitions, over the complete finite domains
 (all 4096 pitch sets, all 24 T/I conjugators, all 6^6 endo-maps of Omega,
 all ordered generator pairs of the PLR and T/I groups, closed on image
 tuples and on Cayley-table masks, every subset of S3 and of the order-8
-dihedral group as a group-axiom check)."""
+dihedral group as a group-axiom check, and the generator-based duality
+check on all ordered pairs of the 68 PLR and T/I subgroups and of the 64
+subsets of S3)."""
 
 import itertools
 
 import pytest
 
 from test_zmod import _cover_oracle
-from triadtopos.duality import dual_group, plr_group, ti_group
+from triadtopos.duality import dual_group, plr_group, ti_group, verify_dual
 from triadtopos.monoid import closure, conjugated_action, is_closed, triadic_monoid
 from triadtopos.permgroup import (
+    SEARCH_BOUNDS,
     Carrier,
     PermGroup,
     Permutation,
+    _generators,
     all_subgroups,
+    centralizer_brute,
     close_generators,
+    is_simply_transitive,
 )
 from triadtopos.topos import (
     _is_topology,
@@ -287,3 +293,72 @@ def test_is_group_matches_the_axioms_one_element_off_each_plr_subgroup():
         assert sub.is_group()
     # {Id} plus one of the 13 involutions, and each such {Id,x} minus x
     assert found == 26
+
+
+def all_pairs_dual(g, h):
+    """Duality by definition: both act simply transitively, every element
+    pair commutes and, on carriers within the centralizer bound, each is the
+    other's brute-force centralizer."""
+    pts = g.carrier.points
+    if not (is_simply_transitive(g, pts) and is_simply_transitive(h, pts)):
+        return False
+    if not all(p.commutes_with(q) for p in g.elements for q in h.elements):
+        return False
+    if len(pts) > SEARCH_BOUNDS["centralizer"]:
+        return True
+    brute_g, brute_h = centralizer_brute(g), centralizer_brute(h)
+    return brute_g.elements == h.elements and brute_h.elements == g.elements
+
+
+@pytest.fixture(scope="module")
+def triad_subgroups():
+    """The 34 subgroups of the PLR group, then the 34 of the T/I group."""
+    return all_subgroups(plr_group()) + all_subgroups(ti_group())
+
+
+def test_generators_generate_each_subgroup_with_at_most_log2_order_elements(triad_subgroups):
+    assert len(triad_subgroups) == 68
+    for sub in triad_subgroups:
+        gens = _generators(sub)
+        assert close_generators(gens, None, sub) == sub
+        assert 2 ** len(gens) <= len(sub)
+    assert [p.label for p in _generators(plr_group())] == ["P", "Q1"]
+    assert [p.label for p in _generators(ti_group())] == ["I7", "T1"]
+
+
+def test_generator_commutation_and_verify_dual_match_all_pairs_on_subgroup_pairs(
+    triad_subgroups,
+):
+    generators = [_generators(sub) for sub in triad_subgroups]
+    duals = []
+    for g, g_gens in zip(triad_subgroups, generators):
+        for h, h_gens in zip(triad_subgroups, generators):
+            elementwise = all(p.commutes_with(q) for p in g.elements for q in h.elements)
+            assert all(p.commutes_with(q) for p in g_gens for q in h_gens) == elementwise
+            dual = verify_dual(g, h)
+            assert dual == all_pairs_dual(g, h)
+            duals += [(g, h)] * dual
+    assert duals == [(plr_group(), ti_group()), (ti_group(), plr_group())]
+
+
+def test_verify_dual_matches_all_pairs_on_every_pair_of_subsets_of_s3():
+    """Sets that are not groups included: the three transpositions move 0 to
+    each point, so they pass the simply-transitive check, but are no group
+    and not dual to any set; the rotations are their own dual."""
+    elems = _s3()
+    carrier = elems[0].carrier
+    subsets = [
+        PermGroup(carrier, frozenset(p for k, p in enumerate(elems) if bits >> k & 1))
+        for bits in range(1 << len(elems))
+    ]
+    duals = []
+    for g in subsets:
+        for h in subsets:
+            dual = verify_dual(g, h)
+            assert dual == all_pairs_dual(g, h)
+            duals += [(g, h)] * dual
+    rotations = close_generators([Permutation(carrier, (1, 2, 0))])
+    assert duals == [(rotations, rotations)]
+    swaps = PermGroup(carrier, frozenset(p for p in elems if [len(c) for c in p.cycles()] == [2]))
+    assert len(swaps) == 3 and is_simply_transitive(swaps, carrier.points)
+    assert not swaps.is_group() and not verify_dual(swaps, swaps)

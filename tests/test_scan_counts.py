@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from triadtopos import duality, enumeration, permgroup, topos
+from triadtopos import duality, enumeration, permgroup, topos, zmod
 
 
 def clear_caches():
@@ -62,3 +62,19 @@ def test_all_subgroups_closes_the_trivial_group_and_all_576_pairs(cold, monkeypa
     results = count_calls(monkeypatch, permgroup, "close_generators")
     assert len(permgroup.all_subgroups(group)) == 34
     assert (len(results), len({sub.elements for sub in results})) == (1 + 24**2, 34)
+
+
+def test_sub_dual_checks_commutation_on_two_generators_of_each_group(monkeypatch):
+    """PLR is generated by P and Q1 and T/I by I7 and T1, so checking that the
+    pair commutes takes 2 x 2 calls, not one per element pair (24 x 24)."""
+    calls = []
+    original = permgroup.Permutation.commutes_with
+
+    def spy(p, q):
+        calls.append((p, q))
+        return original(p, q)
+
+    monkeypatch.setattr(permgroup.Permutation, "commutes_with", spy)
+    g0 = duality.plr_subgroup("P", "L")
+    duality.sub_dual(duality.plr_group(), duality.ti_group(), g0, zmod.chord("C"))
+    assert 0 < len(calls) <= 4
